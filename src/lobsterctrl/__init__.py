@@ -20,8 +20,6 @@ from .csa import LeaderReport, run_csa, step6_fallback_vertices
 from .experiments import (
     SweepConfig,
     SweepResult,
-    run_leader_scaling,
-    run_proportion,
     run_success_probability,
     write_csv,
 )

@@ -17,19 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd
 
 import numpy as np
 
-from .graph import Graph, GraphError, laplacian
-from .spectral import (
-    RANK_TOL,
-    SpectralDecomposition,
-    Witness,
-    eigen_decompose,
-    vanishing_subspace,
-)
+from .graph import Graph, GraphError
+from .mpcs import graph_decomposition
+from .spectral import RANK_TOL, Witness, vanishing_subspace
 
 __all__ = [
     "LeaderSet",
@@ -83,12 +77,6 @@ def _as_leader_set(leaders, n: int) -> LeaderSet:
     return ls
 
 
-@lru_cache(maxsize=32)
-def _decomposition(g: Graph) -> SpectralDecomposition:
-    # Per-graph cache owned by this caller; the spectral module stays pure.
-    return eigen_decompose(laplacian(g))
-
-
 BORDERLINE_WIDENING = 10.0  # singular values this close to the cut escalate
 
 
@@ -105,39 +93,39 @@ def _pbh_verdict(g: Graph, leaders) -> tuple[ControllabilityVerdict, bool]:
     pass: a one-column basis is rank-deficient on the leader rows exactly
     when the norm of those rows vanishes.
     """
-    if not g.is_connected():
+    if not g.is_connected:
         raise GraphError("controllability test requires a connected graph")
     ls = _as_leader_set(leaders, g.n)
     rows = [v - 1 for v in ls.sorted()]
-    decomp = _decomposition(g)
-    simple = [sp for sp in decomp.spaces if sp.multiplicity == 1]
-    norms: dict[int, float] = {}
-    if simple:
-        stacked = np.column_stack([sp.basis[:, 0] for sp in simple])
-        for sp, nm in zip(simple, np.linalg.norm(stacked[rows, :], axis=0)):
-            norms[id(sp)] = float(nm)
-    borderline = False
-    for sp in decomp.spaces:
-        if sp.multiplicity == 1:
-            smallest = norms[id(sp)]
-            bad = smallest <= RANK_TOL
-        else:
-            s = np.linalg.svd(sp.basis[rows, :], compute_uv=False)
-            bad = int(np.sum(s > RANK_TOL)) < sp.multiplicity
-            kept = s[s > RANK_TOL]
-            smallest = float(kept.min()) if kept.size else 0.0
-        if bad:
-            coeffs = vanishing_subspace(sp, ls.sorted())
-            vec = sp.basis @ coeffs[:, 0]
-            vec = vec / np.max(np.abs(vec))
-            verdict = ControllabilityVerdict(
-                controllable=False,
-                method="pbh-float",
-                witness=Witness(value=sp.value, vector=vec),
-            )
-            return verdict, False
-        if smallest <= BORDERLINE_WIDENING * RANK_TOL:
+    decomp = graph_decomposition(g)
+    simple = decomp.simple_columns
+    norms = np.linalg.norm(decomp.vectors[rows][:, simple], axis=0)
+    deficient = simple[norms <= RANK_TOL]
+    # The witness comes from the first deficient eigenspace in value order.
+    first_bad = int(decomp.space_index[deficient[0]]) if deficient.size else None
+    borderline = bool(np.any(norms <= BORDERLINE_WIDENING * RANK_TOL))
+    for i in decomp.multiple_spaces:
+        if first_bad is not None and i > first_bad:
+            break
+        sp = decomp.spaces[i]
+        s = np.linalg.svd(sp.basis[rows, :], compute_uv=False)
+        kept = s[s > RANK_TOL]
+        if kept.size < sp.multiplicity:
+            first_bad = i
+            break
+        if kept.min() <= BORDERLINE_WIDENING * RANK_TOL:
             borderline = True
+    if first_bad is not None:
+        sp = decomp.spaces[first_bad]
+        coeffs = vanishing_subspace(sp, ls.sorted())
+        vec = sp.basis @ coeffs[:, 0]
+        vec = vec / np.max(np.abs(vec))
+        verdict = ControllabilityVerdict(
+            controllable=False,
+            method="pbh-float",
+            witness=Witness(value=sp.value, vector=vec),
+        )
+        return verdict, False
     return ControllabilityVerdict(controllable=True, method="pbh-float"), borderline
 
 
@@ -226,7 +214,7 @@ def kalman_controllable_exact(g: Graph, leaders) -> ControllabilityVerdict:
     is extended block by block with early exit at full rank, and it stops
     as soon as a block contributes nothing new (the span is then invariant).
     """
-    if not g.is_connected():
+    if not g.is_connected:
         raise GraphError("controllability test requires a connected graph")
     ls = _as_leader_set(leaders, g.n)
     followers = [v for v in range(1, g.n + 1) if v not in ls.vertices]
@@ -295,7 +283,7 @@ def min_leader_bruteforce(g: Graph, k_max: int) -> MinLeaderResult:
     """
     if g.n > BRUTEFORCE_N_CAP:
         raise GraphError(f"brute-force leader search capped at n={BRUTEFORCE_N_CAP}")
-    if not g.is_connected():
+    if not g.is_connected:
         raise GraphError("brute-force leader search requires a connected graph")
     k_max = min(k_max, g.n)
     for k in range(1, k_max + 1):

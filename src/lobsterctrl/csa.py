@@ -46,7 +46,7 @@ __all__ = [
 EXACT_CERTIFY_FOLLOWER_CAP = 30
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CsaStep:
     """One entry of the audit log: what was found and what was chosen."""
 
@@ -196,7 +196,8 @@ def run_csa(
         found = k is not None
         for v in fallback[: k or len(fallback)]:
             leaders.add(v)
-            steps.append(CsaStep(6, "fallback", (v,), (v,)))
+            added = (v,)
+            steps.append(CsaStep(6, "fallback", added, added))
         if found:
             # Drop walk vertices, latest first, whenever the set stays
             # controllable without them.  The last addition is always kept

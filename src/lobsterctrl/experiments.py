@@ -25,8 +25,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "run_success_probability",
-    "run_leader_scaling",
-    "run_proportion",
     "write_csv",
     "read_csv",
     "write_svg",
@@ -182,16 +180,6 @@ def run_sweep(cfg: SweepConfig, ablate: bool = False) -> SweepResult:
 def run_success_probability(cfg: SweepConfig) -> SweepResult:
     """Success-rate sweep including the step-6 ablation baseline."""
     return run_sweep(cfg, ablate=True)
-
-
-def run_leader_scaling(cfg: SweepConfig) -> SweepResult:
-    """Leader-count sweep; the linear fit lives on the result."""
-    return run_sweep(cfg, ablate=False)
-
-
-def run_proportion(cfg: SweepConfig) -> SweepResult:
-    """Leader-proportion sweep (leaders over total vertices)."""
-    return run_sweep(cfg, ablate=False)
 
 
 # ---------------------------------------------------------------------------

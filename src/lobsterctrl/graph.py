@@ -88,12 +88,16 @@ class Graph:
         return cls(n=n, edges=frozenset(canon))
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbours of each vertex, indexed by vertex id (entry 0 is empty).
+
+        A tuple rather than a dict keeps a graph that is held on to small.
+        """
+        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -104,6 +108,7 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
+    @cached_property
     def is_connected(self) -> bool:
         if self.n == 1:
             return True
@@ -118,7 +123,7 @@ class Graph:
         return len(seen) == self.n
 
     def is_tree(self) -> bool:
-        return len(self.edges) == self.n - 1 and self.is_connected()
+        return len(self.edges) == self.n - 1 and self.is_connected
 
     def bfs_distances(self, sources) -> dict[int, int]:
         """BFS layering from a vertex or a set of vertices."""
@@ -246,25 +251,6 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def _tree_path(g: Graph, u: int, w: int) -> list[int]:
-    """The unique u-w path in a tree."""
-    parent = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == w:
-            break
-        for y in g.adjacency[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    path = [w]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def find_spine(g: Graph) -> list[int]:
     """A longest path of a tree, deterministically tie-broken.
 
@@ -275,19 +261,29 @@ def find_spine(g: Graph) -> list[int]:
     """
     if not g.is_tree():
         raise GraphError("find_spine requires a tree")
-    best: tuple[int, int] | None = None
-    diameter = -1
-    for u in range(1, g.n + 1):
-        dist = g.bfs_distances(u)
-        for w, d in dist.items():
-            if w <= u:
-                continue
-            if d > diameter or (d == diameter and (u, w) < best):
-                diameter = d
-                best = (u, w)
-    if best is None:  # single vertex
+    if g.n == 1:
         return [1]
-    return _tree_path(g, best[0], best[1])
+
+    def farthest(dist: dict[int, int]) -> int:
+        top = max(dist.values())
+        return min(v for v, d in dist.items() if d == top)
+
+    # In a tree, the eccentricity of v is its larger distance to the two
+    # ends a, b of any longest path, so the longest paths start exactly at
+    # the vertices whose eccentricity is the diameter.
+    a = farthest(g.bfs_distances(1))
+    dist_a = g.bfs_distances(a)
+    b = farthest(dist_a)
+    diameter = dist_a[b]
+    dist_b = g.bfs_distances(b)
+    u = min(v for v in range(1, g.n + 1) if max(dist_a[v], dist_b[v]) == diameter)
+    dist_u = g.bfs_distances(u)
+    path = [farthest(dist_u)]
+    while path[-1] != u:  # step to the one neighbour closer to u
+        x = path[-1]
+        path.append(next(y for y in g.adjacency[x] if dist_u[y] == dist_u[x] - 1))
+    path.reverse()
+    return path
 
 
 def attachment_profile(g: Graph, spine: list[int]) -> AttachmentProfile:
@@ -314,10 +310,12 @@ def attachment_profile(g: Graph, spine: list[int]) -> AttachmentProfile:
             parent = [w for w in g.adjacency[v] if dist[w] == 1][0]
             anchor[v] = anchor[parent]
 
+    levels: dict[int, tuple[list[int], list[int]]] = {sv: ([], []) for sv in spine}
+    for v in sorted(anchor):  # each spine vertex's layers come out sorted
+        levels[anchor[v]][dist[v] - 1].append(v)
     p1, p2, s1, s2, two_paths = [], [], [], [], []
     for sv in spine:
-        level1 = sorted(v for v, a in anchor.items() if a == sv and dist[v] == 1)
-        level2 = sorted(v for v, a in anchor.items() if a == sv and dist[v] == 2)
+        level1, level2 = levels[sv]
         p1.append(len(level1))
         p2.append(len(level2))
         s1.append(tuple(v for v in level1 if g.degree(v) == 1))

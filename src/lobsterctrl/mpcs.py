@@ -87,9 +87,13 @@ class MpcsCatalog:
         return {r.vertices for r in self.records}
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def graph_decomposition(g: Graph) -> SpectralDecomposition:
-    # Cache owned by this caller; the spectral module itself stays pure.
+    """The Laplacian eigendecomposition shared by detectors and checks.
+
+    Two entries hold the graph of one CSA run plus the one before it; the
+    spectral module itself stays pure.
+    """
     return eigen_decompose(laplacian(g))
 
 
@@ -138,15 +142,24 @@ def _mpcs_analysis(
     """
     complement = [v for v in range(1, g.n + 1) if v not in s]
     rows = [v - 1 for v in sorted(s)]
+    # A one-dimensional eigenspace has a vector inside S exactly when its
+    # column vanishes off S; all of them are decided by one column norm.
+    simple = decomp.simple_columns
+    outside = np.linalg.norm(decomp.vectors[[v - 1 for v in complement]][:, simple], axis=0)
+    inside = decomp.space_index[simple[outside <= RANK_TOL]]
     witnesses: list[Witness] = []
-    for sp in decomp.spaces:
-        coeffs = vanishing_subspace(sp, complement)
-        d = coeffs.shape[1]
-        if d == 0:
-            continue
-        if d >= 2:
-            return False, []
-        vec = sp.basis @ coeffs[:, 0]
+    for i in sorted(set(inside.tolist()).union(decomp.multiple_spaces)):
+        sp = decomp.spaces[i]
+        if sp.multiplicity == 1:
+            vec = sp.basis[:, 0]
+        else:
+            coeffs = vanishing_subspace(sp, complement)
+            d = coeffs.shape[1]
+            if d == 0:
+                continue
+            if d >= 2:
+                return False, []
+            vec = sp.basis @ coeffs[:, 0]
         scale = np.max(np.abs(vec))
         if any(abs(vec[r]) <= ZERO_TOL * scale for r in rows):
             return False, []
@@ -265,27 +278,31 @@ def detect_twins(g: Graph) -> list[CriticalRecord]:
     indicator vectors with eigenvalue deg(u), plus one when the pair is
     adjacent.  This is exact, no verification needed.
     """
-    masks = {
-        v: sum(1 << (w - 1) for w in g.adjacency[v]) for v in range(1, g.n + 1)
-    }
+    # Non-adjacent twins share their open neighbourhood, adjacent twins
+    # their closed one; the two groupings never share a pair.
+    groups: dict[tuple, list[int]] = {}
+    for v in range(1, g.n + 1):
+        nbrs = g.adjacency[v]
+        groups.setdefault(("open", nbrs), []).append(v)
+        groups.setdefault(("closed", tuple(sorted(nbrs + (v,)))), []).append(v)
+    pairs = sorted(
+        (u, w, kind == "closed")
+        for (kind, _), members in groups.items()
+        for u, w in itertools.combinations(members, 2)
+    )
     records = []
-    for u in range(1, g.n + 1):
-        for w in range(u + 1, g.n + 1):
-            outside = ~((1 << (u - 1)) | (1 << (w - 1)))
-            if (masks[u] ^ masks[w]) & outside:
-                continue
-            adjacent = bool(masks[u] >> (w - 1) & 1)
-            lam = g.degree(u) + (1 if adjacent else 0)
-            vec = np.zeros(g.n)
-            vec[u - 1], vec[w - 1] = 1.0, -1.0
-            records.append(
-                CriticalRecord(
-                    vertices=frozenset((u, w)),
-                    kind="MPCS",
-                    origin="twin",
-                    witness=Witness(value=float(lam), vector=vec),
-                )
+    for u, w, adjacent in pairs:
+        lam = g.degree(u) + (1 if adjacent else 0)
+        vec = np.zeros(g.n)
+        vec[u - 1], vec[w - 1] = 1.0, -1.0
+        records.append(
+            CriticalRecord(
+                vertices=frozenset((u, w)),
+                kind="MPCS",
+                origin="twin",
+                witness=Witness(value=float(lam), vector=vec),
             )
+        )
     return records
 
 

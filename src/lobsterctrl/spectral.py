@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,21 +51,41 @@ class Eigenspace:
     def multiplicity(self) -> int:
         return self.basis.shape[1]
 
-    def residual(self, lap: np.ndarray) -> float:
-        return float(np.max(np.abs(lap @ self.basis - self.value * self.basis)))
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenspaces in increasing eigenvalue order, multiplicities summing to n."""
+    """Eigenspaces in increasing eigenvalue order, multiplicities summing to n.
+
+    Every eigenspace basis is a column slice of the one n x n array
+    `vectors`, so a query over many eigenspaces can read their columns in a
+    single indexing step.
+    """
 
     spaces: tuple[Eigenspace, ...]
+    vectors: np.ndarray  # n x n, the bases of `spaces` side by side
     group_tol: float
     near_miss_gaps: tuple[float, ...] = ()
 
     @property
     def n(self) -> int:
-        return self.spaces[0].basis.shape[0]
+        return self.vectors.shape[0]
+
+    @cached_property
+    def space_index(self) -> np.ndarray:
+        """Index into `spaces` of each column of `vectors`."""
+        sizes = [sp.multiplicity for sp in self.spaces]
+        return np.repeat(np.arange(len(sizes)), sizes)
+
+    @cached_property
+    def simple_columns(self) -> np.ndarray:
+        """Columns of `vectors` that are one-dimensional eigenspaces, ascending."""
+        sizes = np.array([sp.multiplicity for sp in self.spaces])
+        return np.flatnonzero(sizes[self.space_index] == 1)
+
+    @cached_property
+    def multiple_spaces(self) -> tuple[int, ...]:
+        """Indices into `spaces` of the eigenspaces of dimension two or more."""
+        return tuple(i for i, sp in enumerate(self.spaces) if sp.multiplicity > 1)
 
     def reconstruct(self) -> np.ndarray:
         n = self.n
@@ -105,18 +126,28 @@ def eigen_decompose(lap: np.ndarray, group_tol: float = GROUP_TOL) -> SpectralDe
             f"eigensolver failed on matrix {_fingerprint(mat)}: {exc}"
         ) from exc
 
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if abs(vals[i] - vals[groups[-1][-1]]) <= group_tol * max(1.0, abs(vals[i])):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    # A group starts wherever an eigenvalue is farther than the tolerance
+    # from its predecessor; bounds holds each group's [start, stop) columns.
+    splits = np.abs(np.diff(vals)) > group_tol * np.maximum(1.0, np.abs(vals[1:]))
+    edges = [0, *(np.flatnonzero(splits) + 1).tolist(), len(vals)]
+    bounds = list(zip(edges, edges[1:]))
 
-    spaces = []
-    for idx in groups:
-        basis = vecs[:, idx]
-        q, _ = np.linalg.qr(basis)  # re-orthonormalize after grouping
-        spaces.append(Eigenspace(value=float(np.mean(vals[idx])), basis=q))
+    # Re-orthonormalize each group in place, so every basis is a view of
+    # vecs; the one-column groups go through one stacked QR call.
+    simple = [start for start, stop in bounds if stop - start == 1]
+    if simple:
+        q, _ = np.linalg.qr(vecs[:, simple].T[:, :, None])
+        vecs[:, simple] = q[:, :, 0].T
+    for start, stop in bounds:
+        if stop - start > 1:
+            vecs[:, start:stop], _ = np.linalg.qr(vecs[:, start:stop])
+    spaces = tuple(
+        Eigenspace(
+            value=float(vals[start] if stop - start == 1 else np.mean(vals[start:stop])),
+            basis=vecs[:, start:stop],
+        )
+        for start, stop in bounds
+    )
 
     near: list[float] = []
     for a, b in zip(spaces, spaces[1:]):
@@ -124,8 +155,12 @@ def eigen_decompose(lap: np.ndarray, group_tol: float = GROUP_TOL) -> SpectralDe
         if NEAR_MISS_BAND[0] <= gap <= NEAR_MISS_BAND[1]:
             near.append(gap)
 
-    decomp = SpectralDecomposition(tuple(spaces), group_tol, tuple(near))
-    worst = max(sp.residual(mat) / max(1.0, abs(sp.value)) for sp in spaces)
+    decomp = SpectralDecomposition(spaces, vecs, group_tol, tuple(near))
+    # Eigenpair residuals of all eigenspaces from one product, L U - U diag(lambda),
+    # each column relative to max(1, |lambda|).
+    column_values = np.array([sp.value for sp in spaces])[decomp.space_index]
+    residuals = np.max(np.abs(mat @ vecs - vecs * column_values), axis=0)
+    worst = float(np.max(residuals / np.maximum(1.0, np.abs(column_values))))
     if worst > RES_TOL:
         raise RuntimeError(
             f"eigenpair residual {worst:.2e} exceeds {RES_TOL} on matrix {_fingerprint(mat)}"
@@ -144,7 +179,8 @@ def vanishing_subspace(space: Eigenspace, zero_on) -> np.ndarray:
     if not rows:
         return np.eye(k)
     sub = space.basis[[v - 1 for v in rows], :]
-    _, s, vt = np.linalg.svd(sub, full_matrices=True)
+    # A full V is needed only when the rows cannot span all k coefficients.
+    _, s, vt = np.linalg.svd(sub, full_matrices=len(rows) < k)
     rank = int(np.sum(s > RANK_TOL))
     return vt[rank:].T.copy()
 

@@ -7,8 +7,6 @@ from lobsterctrl.csa import run_csa
 from lobsterctrl.experiments import (
     SweepConfig,
     read_csv,
-    run_leader_scaling,
-    run_proportion,
     run_success_probability,
     run_sweep,
     write_csv,
@@ -64,10 +62,14 @@ class TestSweepBasics:
             tiny_cfg(trials=0)
 
     def test_sweep_entry_points_share_engine(self):
-        scaling = run_leader_scaling(tiny_cfg())
-        proportion = run_proportion(tiny_cfg())
-        assert [r.n for r in scaling.rows] == [r.n for r in proportion.rows]
-        assert all(r.step6_off_rate is None for r in scaling.rows)
+        plain = run_sweep(tiny_cfg())
+        ablated = run_success_probability(tiny_cfg())
+        assert [r.n for r in plain.rows] == [r.n for r in ablated.rows]
+        assert [(r.successes, r.mean_total) for r in plain.rows] == [
+            (r.successes, r.mean_total) for r in ablated.rows
+        ]
+        assert all(r.step6_off_rate is None for r in plain.rows)
+        assert all(r.step6_off_rate is not None for r in ablated.rows)
 
     def test_zero_success_rows_flagged_and_off_fit(self):
         # bare paths always end cant_find, so every n lands in the flag list

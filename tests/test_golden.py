@@ -1,0 +1,85 @@
+"""Golden output digest over fixed-seed lobsters.
+
+One sha256 over the public outputs that must stay byte-identical across
+refactors of the hot path: the CSA report JSON, the three detector catalogs,
+the spine, and the PBH verdict (with its witness rounded to 12 digits, as
+``lobster-ctrl check`` prints it) on the CSA leader set minus its smallest
+vertex, which sits just below controllability.  C10 only compares two runs
+of the same code; this digest pins the outputs of the code as it was when
+the digest was taken.
+
+Floats are rounded to 12 decimals and witness signs fixed (first nonzero
+entry positive) before hashing: the BLAS thread count moves eigenvalues in
+their last bits and may flip the sign of an eigenvector, and neither is a
+change of the program.
+"""
+import hashlib
+import json
+
+from lobsterctrl.control import pbh_controllable
+from lobsterctrl.csa import report_to_json, run_csa
+from lobsterctrl.graph import attachment_profile, build_lobster, find_spine, random_lobster
+from lobsterctrl.mpcs import catalog_to_json, detect_quads, detect_spine_patterns, detect_twins
+
+GOLDEN_COUNT = 60
+GOLDEN_SPINES = (6, 140)
+GOLDEN_SEED_BASE = 0x60D
+GOLDEN_DIGEST = "e358a6b9bfecc567b8978660f984cd736dc843fbb6a00856959e89d6f0f8afa7"
+
+
+def _canonical(obj):
+    """JSON value with floats rounded to 12 decimals and no negative zeros."""
+    if isinstance(obj, float):
+        return round(obj, 12) + 0.0
+    if isinstance(obj, list):
+        return [_canonical(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _canonical(v) for k, v in obj.items()}
+    return obj
+
+
+def golden_cases():
+    lo, hi = GOLDEN_SPINES
+    for i in range(GOLDEN_COUNT):
+        yield lo + (hi - lo) * i // (GOLDEN_COUNT - 1), GOLDEN_SEED_BASE + i
+
+
+def golden_outputs(spine_len: int, seed: int) -> list[str]:
+    g = build_lobster(random_lobster(spine_len, seed))
+    spine = find_spine(g)
+    profile = attachment_profile(g, spine)
+    report = run_csa(g)
+    texts = [
+        json.dumps(spine),
+        report_to_json(report),
+        catalog_to_json(detect_twins(g)),
+        catalog_to_json(detect_quads(g, spine, profile)),
+        catalog_to_json(detect_spine_patterns(g, spine, profile)),
+    ]
+    out = [json.dumps(_canonical(json.loads(t))) for t in texts]
+    short = report.sorted_leaders()[1:]
+    if short:
+        verdict = pbh_controllable(g, short)
+        check = {"controllable": verdict.controllable, "method": verdict.method}
+        if verdict.witness is not None:
+            vec = _canonical([float(x) for x in verdict.witness.vector])
+            if next(x for x in vec if x != 0) < 0:
+                vec = [-x + 0.0 for x in vec]
+            check["witness_eigenvalue"] = _canonical(verdict.witness.value)
+            check["witness_vector"] = vec
+        out.append(json.dumps(check))
+    return out
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for spine_len, seed in golden_cases():
+        h.update(f"# spine {spine_len} seed {seed}\n".encode())
+        for text in golden_outputs(spine_len, seed):
+            h.update(text.encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_golden_digest():
+    assert golden_digest() == GOLDEN_DIGEST
