@@ -133,13 +133,10 @@ def cmd_mpcs(args) -> int:
             except GraphError:
                 pass  # tree but not a lobster: twins only
             else:
-                known = {r.vertices for r in records}
-                for rec in detect_quads(g, spine, profile) + detect_spine_patterns(
-                    g, spine, profile
-                ):
-                    if rec.vertices not in known:
-                        known.add(rec.vertices)
-                        records.append(rec)
+                # Twins, quads and spine runs have sizes 2, 4 and 8 or more,
+                # so the three detectors never emit the same set.
+                records += detect_quads(g, spine, profile)
+                records += detect_spine_patterns(g, spine, profile)
         records.sort(key=lambda r: (len(r.vertices), r.sorted_vertices()))
     payload = catalog_to_json(records)
     if args.json is not None:

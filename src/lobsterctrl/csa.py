@@ -27,13 +27,7 @@ from .control import (
     minimum_hitting_set,
 )
 from .graph import AttachmentProfile, Graph, GraphError, attachment_profile, find_spine
-from .mpcs import (
-    CriticalRecord,
-    detect_quads,
-    detect_spine_patterns,
-    detect_twins,
-    graph_decomposition,
-)
+from .mpcs import CriticalRecord, detect_quads, detect_spine_patterns, detect_twins
 
 __all__ = [
     "CsaStep",
@@ -112,7 +106,6 @@ def run_csa(
     seed: int | None = None,
     enable_step6: bool = True,
     strict_step6: bool = False,
-    certify_cap: int = EXACT_CERTIFY_FOLLOWER_CAP,
 ) -> LeaderReport:
     """Assemble and certify a leader set for a lobster.
 
@@ -134,7 +127,6 @@ def run_csa(
         raise GraphError(f"unknown mode {mode!r}")
     spine = find_spine(g)
     profile = attachment_profile(g, spine)  # rejects non-lobsters
-    graph_decomposition(g)  # warm the cache shared by detectors and checks
     rng = random.Random(seed) if seed is not None else None
 
     steps: list[CsaStep] = []
@@ -221,7 +213,7 @@ def run_csa(
     verdict_exact = None
     # The cap is judged on the set before pruning, so the prune never
     # withdraws an exact certificate the walk's set would have received.
-    if found and g.n - len(leaders) - len(dropped) <= certify_cap:
+    if found and g.n - len(leaders) - len(dropped) <= EXACT_CERTIFY_FOLLOWER_CAP:
         verdict_exact = kalman_controllable_exact(g, leaders).controllable
         if verdict_exact != found:
             raise RuntimeError(

@@ -5,8 +5,9 @@ Each (spine length, trial) pair derives its seed from the base seed, so the
 sweep is reproducible byte-for-byte regardless of worker count.  Success
 statistics are computed over all trials; leader-count statistics only over
 successful trials (a negative run yields no leader count).  A configurable
-fraction of successful runs is re-certified by the exact rational oracle;
-any disagreement with the float verdict aborts the sweep.
+fraction of successful runs has its leader set re-certified by the exact
+rational oracle; any disagreement with the float verdict aborts the sweep.
+Each trial runs CSA once: the step-6 ablation and the audit read its report.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .control import kalman_controllable_exact
-from .csa import run_csa
+from .csa import LeaderReport, run_csa
 from .graph import GraphError, LobsterSpec, build_lobster, random_lobster
 
 __all__ = [
@@ -87,22 +88,28 @@ def _spec_for(cfg: SweepConfig, n: int, seed: int) -> LobsterSpec:
     return random_lobster(n, seed, cfg.max_load)
 
 
+def _found_without_step6(report: LeaderReport) -> bool:
+    """Whether the run would have ended "found" with step 6 switched off.
+
+    Steps 1-5 never depend on step 6, so that is a run found before step 6
+    logged anything.
+    """
+    return report.status == "found" and all(s.step != 6 for s in report.steps)
+
+
 def _run_trial(args: tuple[SweepConfig, int, int, bool]) -> tuple:
     cfg, n, trial, ablate = args
     seed = _trial_seed(cfg.base_seed, n, trial)
     g = build_lobster(_spec_for(cfg, n, seed))
     report = run_csa(g, mode=cfg.mode)
-    off_found = None
-    if ablate:
-        off = run_csa(g, mode=cfg.mode, enable_step6=False)
-        off_found = off.status == "found"
     return (
         n,
         trial,
         report.status == "found",
         len(report.leaders),
         g.n,
-        off_found,
+        _found_without_step6(report) if ablate else None,
+        report.sorted_leaders(),
     )
 
 
@@ -158,9 +165,8 @@ def run_sweep(cfg: SweepConfig, ablate: bool = False) -> SweepResult:
         stride = max(1, int(1.0 / cfg.audit_fraction))
         for n, t in found_keys[::stride]:
             g = build_lobster(_spec_for(cfg, n, _trial_seed(cfg.base_seed, n, t)))
-            report = run_csa(g, mode=cfg.mode)
             audited += 1
-            if kalman_controllable_exact(g, report.leaders).controllable:
+            if kalman_controllable_exact(g, by_key[(n, t)][6]).controllable:
                 passes += 1
             else:
                 raise RuntimeError(

@@ -99,9 +99,6 @@ class Graph:
             adj[j].append(i)
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

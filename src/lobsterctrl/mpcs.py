@@ -87,27 +87,22 @@ class MpcsCatalog:
         return {r.vertices for r in self.records}
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def graph_decomposition(g: Graph) -> SpectralDecomposition:
     """The Laplacian eigendecomposition shared by detectors and checks.
 
-    Two entries hold the graph of one CSA run plus the one before it; the
-    spectral module itself stays pure.
+    One entry holds the graph of the current CSA run, which never returns to
+    an earlier graph; the spectral module itself stays pure.
     """
     return eigen_decompose(laplacian(g))
 
 
-def _support_of(vec: np.ndarray, zero_tol: float = ZERO_TOL) -> frozenset[int]:
-    scale = np.max(np.abs(vec))
-    return frozenset(int(i) + 1 for i in np.nonzero(np.abs(vec) > zero_tol * scale)[0])
-
-
-def is_critical(g: Graph, vertices, decomp: SpectralDecomposition | None = None) -> Witness | None:
+def is_critical(g: Graph, vertices) -> Witness | None:
     """Witness eigenvector supported inside the given set, or None."""
     s = frozenset(vertices)
     if not s:
         raise GraphError("critical-set query needs a nonempty vertex set")
-    decomp = decomp or graph_decomposition(g)
+    decomp = graph_decomposition(g)
     complement = [v for v in range(1, g.n + 1) if v not in s]
     for sp in decomp.spaces:
         coeffs = vanishing_subspace(sp, complement)
@@ -118,15 +113,12 @@ def is_critical(g: Graph, vertices, decomp: SpectralDecomposition | None = None)
     return None
 
 
-def is_perfect_critical(
-    g: Graph, vertices, decomp: SpectralDecomposition | None = None
-) -> Witness | None:
+def is_perfect_critical(g: Graph, vertices) -> Witness | None:
     """Witness eigenvector supported on exactly the given set, or None."""
     s = frozenset(vertices)
     if not s:
         raise GraphError("critical-set query needs a nonempty vertex set")
-    decomp = decomp or graph_decomposition(g)
-    return exists_support_exactly(decomp, s)
+    return exists_support_exactly(graph_decomposition(g), s)
 
 
 def _mpcs_analysis(
@@ -170,15 +162,12 @@ def _mpcs_analysis(
     return bool(witnesses), witnesses
 
 
-def is_mpcs(
-    g: Graph, vertices, decomp: SpectralDecomposition | None = None
-) -> tuple[bool, Witness | None]:
+def is_mpcs(g: Graph, vertices) -> tuple[bool, Witness | None]:
     """Whether the set is a minimum perfect critical set, plus a witness."""
     s = frozenset(vertices)
     if not s:
         raise GraphError("critical-set query needs a nonempty vertex set")
-    decomp = decomp or graph_decomposition(g)
-    ok, witnesses = _mpcs_analysis(g, s, decomp)
+    ok, witnesses = _mpcs_analysis(g, s, graph_decomposition(g))
     return ok, (witnesses[0] if ok else None)
 
 
@@ -187,7 +176,7 @@ def is_mpcs(
 # ---------------------------------------------------------------------------
 
 
-def _achievable_supports(space: Eigenspace, zero_tol: float = ZERO_TOL) -> dict[frozenset[int], np.ndarray]:
+def _achievable_supports(space: Eigenspace) -> dict[frozenset[int], np.ndarray]:
     """All supports of eigenvectors in one eigenspace, with generic vectors.
 
     Every zero pattern of a vector in a k-dimensional space is the common
@@ -213,10 +202,10 @@ def _achievable_supports(space: Eigenspace, zero_tol: float = ZERO_TOL) -> dict[
             if scale == 0:
                 continue
             row_max = np.max(np.abs(span), axis=1)
-            support = frozenset(int(i) + 1 for i in np.nonzero(row_max > zero_tol * scale)[0])
+            support = frozenset(int(i) + 1 for i in np.nonzero(row_max > ZERO_TOL * scale)[0])
             if not support or support in out:
                 continue
-            vec = _generic_witness(span, [v - 1 for v in sorted(support)], zero_tol)
+            vec = _generic_witness(span, [v - 1 for v in sorted(support)])
             vec = vec / np.max(np.abs(vec))
             if vec[min(support) - 1] < 0:
                 vec = -vec
@@ -224,10 +213,10 @@ def _achievable_supports(space: Eigenspace, zero_tol: float = ZERO_TOL) -> dict[
     return out
 
 
-def enumerate_pcs_bruteforce(g: Graph, n_cap: int = BRUTEFORCE_N_CAP) -> list[CriticalRecord]:
+def enumerate_pcs_bruteforce(g: Graph) -> list[CriticalRecord]:
     """Every perfect critical set of the graph (exact eigenvector supports)."""
-    if g.n > n_cap:
-        raise GraphError(f"brute-force enumeration capped at n={n_cap}")
+    if g.n > BRUTEFORCE_N_CAP:
+        raise GraphError(f"brute-force enumeration capped at n={BRUTEFORCE_N_CAP}")
     decomp = graph_decomposition(g)
     found: dict[frozenset[int], Witness] = {}
     for sp in decomp.spaces:
@@ -243,13 +232,13 @@ def enumerate_pcs_bruteforce(g: Graph, n_cap: int = BRUTEFORCE_N_CAP) -> list[Cr
 
 
 @lru_cache(maxsize=32)
-def enumerate_mpcs_bruteforce(g: Graph, n_cap: int = BRUTEFORCE_N_CAP) -> MpcsCatalog:
+def enumerate_mpcs_bruteforce(g: Graph) -> MpcsCatalog:
     """The complete MPCS catalog of a small graph.
 
     Minimal eigenvector supports: enumerate all achievable supports per
     eigenspace, then keep the inclusion-minimal ones across eigenspaces.
     """
-    pcs = enumerate_pcs_bruteforce(g, n_cap)
+    pcs = enumerate_pcs_bruteforce(g)
     minimal: list[CriticalRecord] = []
     for rec in pcs:  # already sorted by size
         if any(kept.vertices < rec.vertices for kept in minimal):
@@ -328,7 +317,6 @@ def detect_quads(
     the spine itself (the 5-path realizes one around its center).  Each
     candidate is verified before emission.
     """
-    decomp = graph_decomposition(g)
     records = []
     seen: set[frozenset[int]] = set()
     for v in range(1, g.n + 1):
@@ -340,9 +328,7 @@ def detect_quads(
             if s in seen:
                 continue
             seen.add(s)
-            ok, record = verify_mpcs(
-                g, s, expected_value=QUAD_EIGENVALUE, origin="quad", decomp=decomp
-            )
+            ok, record = verify_mpcs(g, s, expected_value=QUAD_EIGENVALUE, origin="quad")
             if ok:
                 records.append(record)
     records.sort(key=lambda r: r.sorted_vertices())
@@ -380,7 +366,6 @@ def detect_spine_patterns(
     candidate must verify with an eigenvalue among the two roots of
     (x - 1)(x - 2) = 1.
     """
-    decomp = graph_decomposition(g)
     records: list[CriticalRecord] = []
     seen: set[frozenset[int]] = set()
 
@@ -419,7 +404,6 @@ def detect_spine_patterns(
                             s,
                             expected_value=SPINE_EIGENVALUES,
                             origin="spine8" if m == 1 else "spine4n",
-                            decomp=decomp,
                         )
                         if ok:
                             records.append(record)
@@ -441,11 +425,7 @@ def detect_spine_patterns(
 
 
 def verify_mpcs(
-    g: Graph,
-    vertices,
-    expected_value=None,
-    origin: str = "brute-force",
-    decomp: SpectralDecomposition | None = None,
+    g: Graph, vertices, expected_value=None, origin: str = "brute-force"
 ) -> tuple[bool, CriticalRecord | None]:
     """Certify a candidate MPCS and build its record.
 
@@ -457,8 +437,7 @@ def verify_mpcs(
     s = frozenset(vertices)
     if not s:
         raise GraphError("critical-set query needs a nonempty vertex set")
-    decomp = decomp or graph_decomposition(g)
-    ok, witnesses = _mpcs_analysis(g, s, decomp)
+    ok, witnesses = _mpcs_analysis(g, s, graph_decomposition(g))
     if not ok:
         return False, None
     witness = witnesses[0]

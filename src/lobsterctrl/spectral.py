@@ -63,7 +63,6 @@ class SpectralDecomposition:
 
     spaces: tuple[Eigenspace, ...]
     vectors: np.ndarray  # n x n, the bases of `spaces` side by side
-    group_tol: float
     near_miss_gaps: tuple[float, ...] = ()
 
     @property
@@ -107,10 +106,10 @@ def _fingerprint(mat: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()[:16]
 
 
-def eigen_decompose(lap: np.ndarray, group_tol: float = GROUP_TOL) -> SpectralDecomposition:
+def eigen_decompose(lap: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix and group near-equal eigenvalues.
 
-    Values within group_tol * max(1, |value|) of each other join one
+    Values within GROUP_TOL * max(1, |value|) of each other join one
     eigenspace.  Gaps between adjacent groups that fall in the suspicious
     band are reported via near_miss_gaps so callers can flag them.
     """
@@ -128,7 +127,7 @@ def eigen_decompose(lap: np.ndarray, group_tol: float = GROUP_TOL) -> SpectralDe
 
     # A group starts wherever an eigenvalue is farther than the tolerance
     # from its predecessor; bounds holds each group's [start, stop) columns.
-    splits = np.abs(np.diff(vals)) > group_tol * np.maximum(1.0, np.abs(vals[1:]))
+    splits = np.abs(np.diff(vals)) > GROUP_TOL * np.maximum(1.0, np.abs(vals[1:]))
     edges = [0, *(np.flatnonzero(splits) + 1).tolist(), len(vals)]
     bounds = list(zip(edges, edges[1:]))
 
@@ -155,7 +154,7 @@ def eigen_decompose(lap: np.ndarray, group_tol: float = GROUP_TOL) -> SpectralDe
         if NEAR_MISS_BAND[0] <= gap <= NEAR_MISS_BAND[1]:
             near.append(gap)
 
-    decomp = SpectralDecomposition(spaces, vecs, group_tol, tuple(near))
+    decomp = SpectralDecomposition(spaces, vecs, tuple(near))
     # Eigenpair residuals of all eigenspaces from one product, L U - U diag(lambda),
     # each column relative to max(1, |lambda|).
     column_values = np.array([sp.value for sp in spaces])[decomp.space_index]
@@ -190,7 +189,7 @@ _REDRAW_SEED = 0x5EED
 _MAX_REDRAWS = 8
 
 
-def _generic_witness(span: np.ndarray, support_rows: list[int], zero_tol: float) -> np.ndarray:
+def _generic_witness(span: np.ndarray, support_rows: list[int]) -> np.ndarray:
     """A vector in the column span of `span` nonzero on every support row.
 
     A finite union of proper subspaces cannot cover the span, so a generic
@@ -206,14 +205,12 @@ def _generic_witness(span: np.ndarray, support_rows: list[int], zero_tol: float)
         scale = np.max(np.abs(y))
         if scale == 0:
             continue
-        if all(abs(y[r]) > zero_tol * scale for r in support_rows):
+        if all(abs(y[r]) > ZERO_TOL * scale for r in support_rows):
             return y
     raise RuntimeError("failed to build a generic support witness after seeded redraws")
 
 
-def exists_support_exactly(
-    decomp: SpectralDecomposition, support, zero_tol: float = ZERO_TOL
-) -> Witness | None:
+def exists_support_exactly(decomp: SpectralDecomposition, support) -> Witness | None:
     """Witness eigenpair whose support is exactly the given vertex set, or None.
 
     Per eigenspace: restrict to the subspace vanishing off the support; skip
@@ -236,9 +233,9 @@ def exists_support_exactly(
         span_scale = np.max(np.abs(span))
         if span_scale == 0:
             continue
-        if any(np.max(np.abs(span[r, :])) <= zero_tol * span_scale for r in rows):
+        if any(np.max(np.abs(span[r, :])) <= ZERO_TOL * span_scale for r in rows):
             continue  # that vertex is forced to zero in this eigenspace
-        y = _generic_witness(span, rows, zero_tol)
+        y = _generic_witness(span, rows)
         y = y / np.max(np.abs(y))
         if y[rows[0]] < 0:
             y = -y

@@ -1,9 +1,22 @@
 import json
+import random
 
 import pytest
 
 from lobsterctrl.cli import main
-from lobsterctrl.graph import parse_graph
+from lobsterctrl.graph import (
+    Graph,
+    GraphError,
+    attachment_profile,
+    build_lobster,
+    find_spine,
+    parse_graph,
+    random_lobster,
+    serialize_graph,
+)
+from lobsterctrl.mpcs import catalog_to_json, detect_quads, detect_spine_patterns, detect_twins
+
+from .conftest import random_connected_graph
 
 FIG_JSON = json.dumps(
     {"n": 7, "edges": [[1, 2], [2, 3], [2, 4], [4, 5], [4, 6], [4, 7]]}
@@ -75,6 +88,41 @@ class TestMpcs:
         main(["mpcs", fig_file, "--detect", "--json"])
         detected = {tuple(i["vertices"]) for i in json.loads(capsys.readouterr().out)}
         assert detected == brute
+
+    @staticmethod
+    def detector_union(g: Graph) -> list:
+        records = detect_twins(g)
+        if not g.is_tree():
+            return records
+        try:
+            spine = find_spine(g)
+            profile = attachment_profile(g, spine)
+        except GraphError:
+            return records  # not a lobster: twins only
+        return records + detect_quads(g, spine, profile) + detect_spine_patterns(g, spine, profile)
+
+    def test_detect_json_is_sorted_detector_union(self, tmp_path, capsys):
+        spider = Graph.from_edges(  # three legs of length 3: a tree, not a lobster
+            10, [(1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (1, 8), (8, 9), (9, 10)]
+        )
+        k4 = Graph.from_edges(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+        graphs = [
+            build_lobster(random_lobster(spine, seed))
+            for spine, seed in [(6, 1), (12, 4), (30, 7), (45, 2), (60, 3), (80, 11)]
+        ]
+        graphs += [spider, random_connected_graph(12, random.Random(3), extra_edges=4), k4]
+        origins = set()
+        for i, g in enumerate(graphs):
+            path = tmp_path / f"g{i}.graph.json"
+            path.write_text(serialize_graph(g))
+            main(["mpcs", str(path), "--detect", "--json", "-"])
+            expected = sorted(
+                self.detector_union(g), key=lambda r: (len(r.vertices), r.sorted_vertices())
+            )
+            assert len({r.vertices for r in expected}) == len(expected)
+            assert capsys.readouterr().out == catalog_to_json(expected) + "\n"
+            origins.update(r.origin for r in expected)
+        assert {"twin", "quad", "spine8"} <= origins
 
     def test_brute_refuses_large(self, tmp_path, capsys):
         big = tmp_path / "big.graph.json"

@@ -1,18 +1,24 @@
 import math
+import random
+import sys
 
 import pytest
 
+import lobsterctrl.csa
+import lobsterctrl.spectral
 from lobsterctrl.control import kalman_controllable_exact
 from lobsterctrl.csa import run_csa
 from lobsterctrl.experiments import (
     SweepConfig,
+    _found_without_step6,
     read_csv,
     run_success_probability,
     run_sweep,
     write_csv,
     write_svg,
 )
-from lobsterctrl.graph import GraphError, LobsterSpec, build_lobster
+from lobsterctrl.graph import GraphError, LobsterSpec, build_lobster, random_lobster
+from lobsterctrl.mpcs import graph_decomposition
 
 
 def tiny_cfg(**overrides) -> SweepConfig:
@@ -78,6 +84,46 @@ class TestSweepBasics:
         assert math.isnan(res.fit_slope)
         for row in res.rows:
             assert row.successes == 0 and math.isnan(row.mean_leaders)
+
+
+class TestOneRunPerTrial:
+    def test_ablated_audited_sweep_runs_csa_and_decomposes_once_per_trial(self, monkeypatch):
+        calls = {"run_csa": 0, "eigen_decompose": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        # Patch every package namespace that holds each function.
+        for home, name in ((lobsterctrl.csa, "run_csa"), (lobsterctrl.spectral, "eigen_decompose")):
+            original = getattr(home, name)
+            wrapper = counting(name, original)
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.startswith("lobsterctrl") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+        graph_decomposition.cache_clear()
+        cfg = tiny_cfg(n_values=(10, 20, 30), trials=4, audit_fraction=1.0)
+        res = run_sweep(cfg, ablate=True)
+        trials = len(cfg.n_values) * cfg.trials
+        assert res.audited == sum(r.successes for r in res.rows) > 0
+        assert calls == {"run_csa": trials, "eigen_decompose": trials}
+
+    def test_derived_step6_off_verdict_matches_a_run_without_step6(self):
+        rng = random.Random(8)
+        cases = [(rng.randint(6, 100), rng.randrange(10**6)) for _ in range(58)]
+        graphs = [build_lobster(random_lobster(spine, seed)) for spine, seed in cases]
+        graphs += [build_lobster(LobsterSpec.make(n, [()] * n)) for n in (6, 12)]  # bare paths
+        reached_step6 = 0
+        for i, g in enumerate(graphs):
+            mode = ("hitting-set", "per-set")[i % 2]
+            report = run_csa(g, mode=mode)
+            reached_step6 += any(s.step == 6 for s in report.steps)
+            off = run_csa(g, mode=mode, enable_step6=False)
+            assert _found_without_step6(report) == (off.status == "found")
+        assert reached_step6 >= 10
 
 
 class TestDegenerateConfig:

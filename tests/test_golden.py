@@ -6,7 +6,8 @@ the spine, and the PBH verdict (with its witness rounded to 12 digits, as
 ``lobster-ctrl check`` prints it) on the CSA leader set minus its smallest
 vertex, which sits just below controllability.  C10 only compares two runs
 of the same code; this digest pins the outputs of the code as it was when
-the digest was taken.
+the digest was taken.  A second digest does the same for sweep output: the
+CSV bytes and the fit and audit figures of a few fixed-seed sweeps.
 
 Floats are rounded to 12 decimals and witness signs fixed (first nonzero
 entry positive) before hashing: the BLAS thread count moves eigenvalues in
@@ -18,6 +19,7 @@ import json
 
 from lobsterctrl.control import pbh_controllable
 from lobsterctrl.csa import report_to_json, run_csa
+from lobsterctrl.experiments import SweepConfig, run_sweep, write_csv
 from lobsterctrl.graph import attachment_profile, build_lobster, find_spine, random_lobster
 from lobsterctrl.mpcs import catalog_to_json, detect_quads, detect_spine_patterns, detect_twins
 
@@ -25,6 +27,20 @@ GOLDEN_COUNT = 60
 GOLDEN_SPINES = (6, 140)
 GOLDEN_SEED_BASE = 0x60D
 GOLDEN_DIGEST = "e358a6b9bfecc567b8978660f984cd736dc843fbb6a00856959e89d6f0f8afa7"
+
+# (config overrides, ablate) per sweep: both modes, bare paths, a forced
+# attachment, audit fractions from 0.2 to 1.0, and ablation on and off.
+SWEEP_CASES = (
+    (dict(), True),
+    (dict(), False),
+    (dict(mode="per-set", base_seed=0x51), True),
+    (dict(audit_fraction=0.2, base_seed=0x2000), True),
+    (dict(audit_fraction=0.5, base_seed=0x2000), False),
+    (dict(force_config=()), True),
+    (dict(force_config=()), False),
+    (dict(force_config=(2,), n_values=(6, 9, 12)), True),
+)
+SWEEP_DIGEST = "ae230af0eabbfcf0c58c60c17678cb03e3a32c53afadc7552451c996d5f9a4d5"
 
 
 def _canonical(obj):
@@ -81,5 +97,29 @@ def golden_digest() -> str:
     return h.hexdigest()
 
 
+def sweep_digest(tmp_path) -> str:
+    h = hashlib.sha256()
+    for i, (overrides, ablate) in enumerate(SWEEP_CASES):
+        fields = dict(n_values=(6, 10, 20, 30, 40), trials=4, base_seed=0xBEEF, audit_fraction=1.0)
+        fields.update(overrides)
+        result = run_sweep(SweepConfig(**fields), ablate=ablate)
+        path = tmp_path / f"sweep{i}.csv"
+        write_csv(result, str(path))
+        h.update(path.read_bytes())
+        figures = (
+            result.fit_slope,
+            result.fit_intercept,
+            result.flagged_ns,
+            result.audited,
+            result.audit_passes,
+        )
+        h.update(repr(figures).encode() + b"\n")
+    return h.hexdigest()
+
+
 def test_golden_digest():
     assert golden_digest() == GOLDEN_DIGEST
+
+
+def test_sweep_digest(tmp_path):
+    assert sweep_digest(tmp_path) == SWEEP_DIGEST
