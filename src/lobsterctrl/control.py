@@ -3,8 +3,9 @@
 Two independent routes decide whether a leader set controls the Laplacian
 dynamics of a connected graph:
 
-* a floating-point eigenspace test (controllable iff the leader rows of
-  every eigenspace basis have full column rank), and
+* a floating-point eigenspace test (controllable iff no Laplacian
+  eigenvector vanishes on every leader, asked of
+  `spectral.vanishing_spaces`), and
 * an exact rational Kalman rank, computed by fraction-free elimination on
   big integers with no tolerances anywhere.
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .graph import Graph, GraphError
 from .mpcs import graph_decomposition
-from .spectral import RANK_TOL, Witness, vanishing_subspace
+from .spectral import RANK_TOL, Witness, vanishing_spaces
 
 __all__ = [
     "LeaderSet",
@@ -83,41 +84,18 @@ BORDERLINE_WIDENING = 10.0  # singular values this close to the cut escalate
 def _pbh_verdict(g: Graph, leaders) -> tuple[ControllabilityVerdict, bool]:
     """Eigenspace test plus a borderline flag.
 
-    Controllable iff for every eigenspace the submatrix of its basis on the
-    leader rows has full column rank.  A deficient eigenspace yields a
-    witness eigenvector vanishing on every leader.  The flag marks verdicts
-    that would flip under a tenfold tolerance widening, i.e. some space
-    kept full rank only through a singular value barely above the cut.
-
-    Simple eigenvalues (the common case) are checked in one vectorized
-    pass: a one-column basis is rank-deficient on the leader rows exactly
-    when the norm of those rows vanishes.
+    Controllable iff no eigenvector vanishes on every leader, i.e. iff
+    `vanishing_spaces` of the leader set is empty.  Otherwise the first such
+    eigenspace in value order yields the witness.  The flag marks positive
+    verdicts that would flip under a tenfold tolerance widening, i.e. some
+    space kept full rank only through a singular value barely above the cut.
     """
     if not g.is_connected:
         raise GraphError("controllability test requires a connected graph")
     ls = _as_leader_set(leaders, g.n)
-    rows = [v - 1 for v in ls.sorted()]
-    decomp = graph_decomposition(g)
-    simple = decomp.simple_columns
-    norms = np.linalg.norm(decomp.vectors[rows][:, simple], axis=0)
-    deficient = simple[norms <= RANK_TOL]
-    # The witness comes from the first deficient eigenspace in value order.
-    first_bad = int(decomp.space_index[deficient[0]]) if deficient.size else None
-    borderline = bool(np.any(norms <= BORDERLINE_WIDENING * RANK_TOL))
-    for i in decomp.multiple_spaces:
-        if first_bad is not None and i > first_bad:
-            break
-        sp = decomp.spaces[i]
-        s = np.linalg.svd(sp.basis[rows, :], compute_uv=False)
-        kept = s[s > RANK_TOL]
-        if kept.size < sp.multiplicity:
-            first_bad = i
-            break
-        if kept.min() <= BORDERLINE_WIDENING * RANK_TOL:
-            borderline = True
-    if first_bad is not None:
-        sp = decomp.spaces[first_bad]
-        coeffs = vanishing_subspace(sp, ls.sorted())
+    vanishing, margin = vanishing_spaces(graph_decomposition(g), ls.vertices)
+    if vanishing:
+        sp, coeffs = vanishing[0]
         vec = sp.basis @ coeffs[:, 0]
         vec = vec / np.max(np.abs(vec))
         verdict = ControllabilityVerdict(
@@ -126,6 +104,7 @@ def _pbh_verdict(g: Graph, leaders) -> tuple[ControllabilityVerdict, bool]:
             witness=Witness(value=sp.value, vector=vec),
         )
         return verdict, False
+    borderline = margin <= BORDERLINE_WIDENING * RANK_TOL
     return ControllabilityVerdict(controllable=True, method="pbh-float"), borderline
 
 

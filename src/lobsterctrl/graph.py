@@ -12,6 +12,7 @@ plus a read-only DOT subset (``graph { i -- j; ... }``).
 from __future__ import annotations
 
 import json
+import operator
 import random
 import re
 from collections import deque
@@ -352,9 +353,19 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise GraphError('graph JSON must be an object with "n" and "edges"')
-        return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        try:
+            n = operator.index(obj["n"])
+            edges = [(operator.index(i), operator.index(j)) for i, j in obj["edges"]]
+        except (TypeError, ValueError) as exc:
+            raise GraphError(
+                f'graph JSON needs an integer "n" and [i, j] integer edges: {exc}'
+            ) from exc
+        return Graph.from_edges(n, edges)
     if stripped.startswith("graph"):
-        body = stripped[stripped.index("{") + 1 : stripped.rindex("}")]
+        start, stop = stripped.find("{"), stripped.rfind("}")
+        if not 0 <= start < stop:
+            raise GraphError("DOT graph needs a { ... } body")
+        body = stripped[start + 1 : stop]
         edges = [(int(a), int(b)) for a, b in _DOT_EDGE.findall(body)]
         if not edges:
             raise GraphError("DOT graph contains no edges")

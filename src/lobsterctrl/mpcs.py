@@ -33,7 +33,7 @@ from .spectral import (
     Witness,
     eigen_decompose,
     exists_support_exactly,
-    vanishing_subspace,
+    vanishing_spaces,
     _generic_witness,
 )
 
@@ -102,15 +102,13 @@ def is_critical(g: Graph, vertices) -> Witness | None:
     s = frozenset(vertices)
     if not s:
         raise GraphError("critical-set query needs a nonempty vertex set")
-    decomp = graph_decomposition(g)
     complement = [v for v in range(1, g.n + 1) if v not in s]
-    for sp in decomp.spaces:
-        coeffs = vanishing_subspace(sp, complement)
-        if coeffs.shape[1] > 0:
-            vec = sp.basis @ coeffs[:, 0]
-            vec = vec / np.max(np.abs(vec))
-            return Witness(value=sp.value, vector=vec)
-    return None
+    vanishing, _ = vanishing_spaces(graph_decomposition(g), complement)
+    if not vanishing:
+        return None
+    sp, coeffs = vanishing[0]
+    vec = sp.basis @ coeffs[:, 0]
+    return Witness(value=sp.value, vector=vec / np.max(np.abs(vec)))
 
 
 def is_perfect_critical(g: Graph, vertices) -> Witness | None:
@@ -121,9 +119,7 @@ def is_perfect_critical(g: Graph, vertices) -> Witness | None:
     return exists_support_exactly(graph_decomposition(g), s)
 
 
-def _mpcs_analysis(
-    g: Graph, s: frozenset[int], decomp: SpectralDecomposition
-) -> tuple[bool, list[Witness]]:
+def _mpcs_analysis(g: Graph, s: frozenset[int]) -> tuple[bool, list[Witness]]:
     """Decide MPCS-ness and collect the per-eigenspace witnesses.
 
     The set is an MPCS iff every eigenspace's inside-S subspace is at most
@@ -134,24 +130,11 @@ def _mpcs_analysis(
     """
     complement = [v for v in range(1, g.n + 1) if v not in s]
     rows = [v - 1 for v in sorted(s)]
-    # A one-dimensional eigenspace has a vector inside S exactly when its
-    # column vanishes off S; all of them are decided by one column norm.
-    simple = decomp.simple_columns
-    outside = np.linalg.norm(decomp.vectors[[v - 1 for v in complement]][:, simple], axis=0)
-    inside = decomp.space_index[simple[outside <= RANK_TOL]]
     witnesses: list[Witness] = []
-    for i in sorted(set(inside.tolist()).union(decomp.multiple_spaces)):
-        sp = decomp.spaces[i]
-        if sp.multiplicity == 1:
-            vec = sp.basis[:, 0]
-        else:
-            coeffs = vanishing_subspace(sp, complement)
-            d = coeffs.shape[1]
-            if d == 0:
-                continue
-            if d >= 2:
-                return False, []
-            vec = sp.basis @ coeffs[:, 0]
+    for sp, coeffs in vanishing_spaces(graph_decomposition(g), complement)[0]:
+        if coeffs.shape[1] >= 2:
+            return False, []
+        vec = sp.basis @ coeffs[:, 0]
         scale = np.max(np.abs(vec))
         if any(abs(vec[r]) <= ZERO_TOL * scale for r in rows):
             return False, []
@@ -167,7 +150,7 @@ def is_mpcs(g: Graph, vertices) -> tuple[bool, Witness | None]:
     s = frozenset(vertices)
     if not s:
         raise GraphError("critical-set query needs a nonempty vertex set")
-    ok, witnesses = _mpcs_analysis(g, s, graph_decomposition(g))
+    ok, witnesses = _mpcs_analysis(g, s)
     return ok, (witnesses[0] if ok else None)
 
 
@@ -437,7 +420,7 @@ def verify_mpcs(
     s = frozenset(vertices)
     if not s:
         raise GraphError("critical-set query needs a nonempty vertex set")
-    ok, witnesses = _mpcs_analysis(g, s, graph_decomposition(g))
+    ok, witnesses = _mpcs_analysis(g, s)
     if not ok:
         return False, None
     witness = witnesses[0]

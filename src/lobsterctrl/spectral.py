@@ -3,11 +3,10 @@
 Eigenvalues of an integer Laplacian are either exactly equal or well
 separated, so near-equal values (within a relative grouping tolerance) are
 merged into one eigenspace whose basis is re-orthonormalized.  On top of the
-decomposition sit two queries used throughout the package:
-
-* the subspace of an eigenspace vanishing on a prescribed vertex set, and
-* a witness eigenvector whose support is exactly a prescribed set, when one
-  exists.
+decomposition sits one query, `vanishing_spaces`: which eigenvectors vanish
+on a given vertex set.  The controllability test (none vanishes on the
+leaders), the critical-set predicates (some vanishes off the set) and the
+exact-support witness search below all read it.
 
 Zero / nonzero decisions on eigenvector entries are tolerance-based; exact
 claims are re-checked elsewhere by the rational controllability oracle.
@@ -15,6 +14,7 @@ claims are re-checked elsewhere by the rational controllability oracle.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +27,7 @@ __all__ = [
     "Witness",
     "eigen_decompose",
     "vanishing_subspace",
+    "vanishing_spaces",
     "exists_support_exactly",
     "GROUP_TOL",
     "ZERO_TOL",
@@ -167,21 +168,48 @@ def eigen_decompose(lap: np.ndarray) -> SpectralDecomposition:
     return decomp
 
 
-def vanishing_subspace(space: Eigenspace, zero_on) -> np.ndarray:
+def vanishing_subspace(space: Eigenspace, zero_on) -> tuple[np.ndarray, float]:
     """Orthonormal coefficient basis of {c : (U c)_v = 0 for all v in zero_on}.
 
-    Returns a k x d matrix; d = k - rank(rows of U indexed by zero_on).
+    Returns a k x d matrix, d = k - rank(rows of U indexed by zero_on), and
+    the smallest of those rows' singular values kept above RANK_TOL, or inf.
     Empty zero_on yields the identity.
     """
     k = space.multiplicity
     rows = sorted(set(zero_on))
     if not rows:
-        return np.eye(k)
+        return np.eye(k), math.inf
     sub = space.basis[[v - 1 for v in rows], :]
     # A full V is needed only when the rows cannot span all k coefficients.
     _, s, vt = np.linalg.svd(sub, full_matrices=len(rows) < k)
     rank = int(np.sum(s > RANK_TOL))
-    return vt[rank:].T.copy()
+    return vt[rank:].T.copy(), (float(s[rank - 1]) if rank else math.inf)
+
+
+def vanishing_spaces(
+    decomp: SpectralDecomposition, zero_on
+) -> tuple[list[tuple[Eigenspace, np.ndarray]], float]:
+    """Eigenspaces holding a nonzero eigenvector that vanishes on zero_on.
+
+    Returns their (eigenspace, `vanishing_subspace` coefficient basis) pairs
+    in increasing eigenvalue order, and the smallest singular value kept
+    above RANK_TOL over all eigenspaces (inf when none is kept).  One column
+    norm decides every one-dimensional eigenspace, whose basis is then [[1]];
+    only larger eigenspaces run an SVD, through `vanishing_subspace`.
+    """
+    zero_on = sorted(set(zero_on))
+    simple = decomp.simple_columns
+    rows = [v - 1 for v in zero_on]
+    norms = np.linalg.norm(decomp.vectors[rows][:, simple], axis=0)
+    kept = norms[norms > RANK_TOL]
+    margin = float(kept.min()) if kept.size else math.inf
+    found = {int(i): np.ones((1, 1)) for i in decomp.space_index[simple[norms <= RANK_TOL]]}
+    for i in decomp.multiple_spaces:
+        coeffs, space_margin = vanishing_subspace(decomp.spaces[i], zero_on)
+        margin = min(margin, space_margin)
+        if coeffs.shape[1]:
+            found[i] = coeffs
+    return [(decomp.spaces[i], found[i]) for i in sorted(found)], margin
 
 
 # Deterministic generic-combination weights: powers of 3, then seeded redraws.
@@ -213,26 +241,19 @@ def _generic_witness(span: np.ndarray, support_rows: list[int]) -> np.ndarray:
 def exists_support_exactly(decomp: SpectralDecomposition, support) -> Witness | None:
     """Witness eigenpair whose support is exactly the given vertex set, or None.
 
-    Per eigenspace: restrict to the subspace vanishing off the support; skip
-    if trivial; skip if some support vertex is identically zero across that
-    subspace; otherwise a generic combination is nonzero everywhere on the
-    support and is returned (normalized to unit max-norm, first support entry
-    positive).
+    Per eigenspace with vectors vanishing off the support (`vanishing_spaces`):
+    skip if some support vertex is identically zero across that subspace;
+    otherwise a generic combination is nonzero everywhere on the support and
+    is returned (normalized to unit max-norm, first support entry positive).
     """
     support = sorted(set(support))
     if not support:
         raise ValueError("support set must be nonempty")
-    n = decomp.n
-    complement = [v for v in range(1, n + 1) if v not in set(support)]
+    complement = set(range(1, decomp.n + 1)).difference(support)
     rows = [v - 1 for v in support]
-    for sp in decomp.spaces:
-        coeffs = vanishing_subspace(sp, complement)
-        if coeffs.shape[1] == 0:
-            continue
-        span = sp.basis @ coeffs  # n x d, zero off the support
+    for sp, coeffs in vanishing_spaces(decomp, complement)[0]:
+        span = sp.basis @ coeffs  # n x d orthonormal columns, zero off the support
         span_scale = np.max(np.abs(span))
-        if span_scale == 0:
-            continue
         if any(np.max(np.abs(span[r, :])) <= ZERO_TOL * span_scale for r in rows):
             continue  # that vertex is forced to zero in this eigenspace
         y = _generic_witness(span, rows)

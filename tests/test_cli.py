@@ -72,6 +72,23 @@ class TestAnalyze:
     def test_bad_leader_list(self, fig_file):
         assert main(["analyze", fig_file, "--leaders", "1,x"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "edges": [[1,2,3]]}',
+            '{"n": "x", "edges": [[1,2]]}',
+            '{"n": 3, "edges": [["a",2]]}',
+            '{"n": 3, "edges": 5}',
+            '{"n": 3, "edges": [[1.5,2]]}',
+            "graph 1 -- 2",
+        ],
+    )
+    def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        assert main(["analyze", str(path), "--leaders", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestMpcs:
     def test_brute_catalog(self, fig_file, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lobsterctrl.control
 from lobsterctrl.control import (
     LeaderSet,
     controllable_certified,
@@ -114,6 +116,19 @@ class TestCertifiedVerdict:
         assert verdict.controllable and verdict.method == "pbh-float"
         verdict = controllable_certified(fig_graph, [1, 4, 6])
         assert not verdict.controllable and verdict.method == "pbh-float"
+
+    def test_borderline_margin_escalates_to_exact(self, fig_graph, monkeypatch):
+        # With an infinite widening every kept singular value is borderline,
+        # so a positive PBH verdict must be re-decided by the exact route.
+        monkeypatch.setattr(lobsterctrl.control, "BORDERLINE_WIDENING", math.inf)
+        verdict = controllable_certified(fig_graph, [1, 5, 6])
+        assert verdict.controllable and verdict.method == "kalman-exact"
+        assert verdict.rank == 4
+        # A negative verdict carries its witness and never escalates.
+        verdict = controllable_certified(fig_graph, [1, 4, 6])
+        assert not verdict.controllable and verdict.method == "pbh-float"
+        assert verdict.rank is None
+        assert np.max(np.abs(verdict.witness.vector[[0, 3, 5]])) <= 1e-8
 
     def test_always_matches_exact_oracle(self):
         rng = random.Random(41)

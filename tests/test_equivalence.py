@@ -1,10 +1,13 @@
-"""The fast spine, twin and decomposition paths against their definitions.
+"""The fast spine, twin, decomposition and vanishing paths against their definitions.
 
-`find_spine` runs four BFS passes and `detect_twins` groups vertices by
-neighbourhood.  Both are checked here against the direct definitions they
-replaced, kept in this file: a BFS from every vertex for the spine, and the
-pairwise neighbourhood-mask rule for twins.
+`find_spine` runs four BFS passes, `detect_twins` groups vertices by
+neighbourhood, and `vanishing_spaces` decides all one-dimensional eigenspaces
+by one column norm.  Each is checked here against the direct definition it
+replaced, kept in this file: a BFS from every vertex for the spine, the
+pairwise neighbourhood-mask rule for twins, and one `vanishing_subspace` call
+per eigenspace for the vanishing eigenspaces.
 """
+import math
 import random
 import sys
 
@@ -14,7 +17,8 @@ import pytest
 import lobsterctrl.spectral
 from lobsterctrl.csa import run_csa
 from lobsterctrl.graph import Graph, build_lobster, find_spine, random_lobster
-from lobsterctrl.mpcs import detect_twins, graph_decomposition
+from lobsterctrl.mpcs import detect_twins, graph_decomposition, is_critical, is_perfect_critical
+from lobsterctrl.spectral import vanishing_spaces, vanishing_subspace
 
 from .conftest import bfs_distances, path_graph, random_connected_graph, random_tree
 
@@ -154,3 +158,91 @@ def test_run_csa_decomposes_once(monkeypatch, spine_len, seed):
     report = run_csa(g)
     assert any(s.step == 6 for s in report.steps)  # many controllability checks ran
     assert len(calls) == 1
+
+
+def vanishing_by_space(decomp, zero_on):
+    """Every eigenspace with a vector vanishing on zero_on, one SVD per eigenspace."""
+    found, margin = [], math.inf
+    for sp in decomp.spaces:
+        coeffs, space_margin = vanishing_subspace(sp, zero_on)
+        margin = min(margin, space_margin)
+        if coeffs.shape[1]:
+            found.append((sp, coeffs))
+    return found, margin
+
+
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+def petersen() -> Graph:
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def vanishing_cases():
+    """(graph, vertex set) pairs: trees, lobsters and non-trees with repeated eigenvalues."""
+    rng = random.Random(0x7A5)
+    graphs = [complete(4), cycle(5), cycle(6), petersen(), star(7, 1), spider(3, 2)]
+    graphs.append(Graph.from_edges(5, [(i, j) for i in (1, 2) for j in (3, 4, 5)]))  # K2,3
+    graphs += [random_tree(n, rng) for n in (2, 5, 9, 16, 25) for _ in range(3)]
+    graphs += [random_connected_graph(n, rng, extra_edges=3) for n in (6, 10, 14)]
+    graphs += [
+        build_lobster(random_lobster(spine_len, rng.getrandbits(32))) for spine_len in (4, 10, 30)
+    ]
+    for g in graphs:
+        vertices = range(1, g.n + 1)
+        yield g, []
+        yield g, list(vertices)
+        for v in (1, g.n):
+            yield g, [v]
+            yield g, [w for w in vertices if w != v]
+        for size in (2, g.n // 3, g.n // 2, g.n - 2):
+            if 0 < size < g.n:
+                yield g, rng.sample(list(vertices), size)
+        for rec in detect_twins(g):  # complements of eigenvector supports
+            yield g, [w for w in vertices if w not in rec.vertices]
+
+
+def test_vanishing_spaces_matches_per_space_reference():
+    cases = list(vanishing_cases())
+    seen_multiple = seen_simple = 0
+    for g, zero_on in cases:
+        decomp = graph_decomposition(g)
+        found, margin = vanishing_spaces(decomp, zero_on)
+        expected, expected_margin = vanishing_by_space(decomp, zero_on)
+        assert [sp for sp, _ in found] == [sp for sp, _ in expected], (sorted(g.edges), zero_on)
+        for (_, coeffs), (_, ref) in zip(found, expected):
+            assert np.array_equal(coeffs, ref)
+        assert margin == pytest.approx(expected_margin, rel=1e-12)
+        seen_multiple += any(sp.multiplicity > 1 for sp, _ in found)
+        seen_simple += any(sp.multiplicity == 1 for sp, _ in found)
+    assert len(cases) > 300 and seen_multiple > 50 and seen_simple > 50
+
+
+def test_critical_queries_run_no_svd_on_simple_spaces(monkeypatch):
+    original = np.linalg.svd
+    widths = []
+
+    def counting(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = random.Random(0x5BD)
+    for spine_len in (8, 20, 40):
+        g = build_lobster(random_lobster(spine_len, rng.getrandbits(32)))
+        decomp = graph_decomposition(g)
+        multiple = sum(sp.multiplicity > 1 for sp in decomp.spaces)
+        assert 0 < multiple < len(decomp.spaces)
+        for rec in detect_twins(g)[:3]:
+            for query in (is_critical, is_perfect_critical):
+                widths.clear()
+                assert query(g, rec.vertices) is not None
+                assert len(widths) == multiple and min(widths) >= 2

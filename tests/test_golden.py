@@ -3,7 +3,7 @@
 One sha256 over the public outputs that must stay byte-identical across
 refactors of the hot path: the CSA report JSON, the three detector catalogs,
 the spine, and the PBH verdict (with its witness rounded to 12 digits, as
-``lobster-ctrl check`` prints it) on the CSA leader set minus its smallest
+``lobster-ctrl analyze`` prints it) on the CSA leader set minus its smallest
 vertex, which sits just below controllability.  C10 only compares two runs
 of the same code; this digest pins the outputs of the code as it was when
 the digest was taken.  A second digest does the same for sweep output: the

@@ -96,8 +96,9 @@ class TestEigenDecompose:
 class TestVanishingSubspace:
     def test_empty_set_identity(self, fig_graph):
         space = decompose(fig_graph).spaces[1]
-        basis = vanishing_subspace(space, [])
+        basis, margin = vanishing_subspace(space, [])
         assert basis.shape == (space.multiplicity, space.multiplicity)
+        assert margin == float("inf")
 
     def test_benchmark_rows_2_4_are_free(self, fig_graph):
         # exact oracle: nullspace of (L - I) over the rationals shows the
@@ -108,11 +109,11 @@ class TestVanishingSubspace:
         assert all(vec[1] == 0 and vec[3] == 0 for vec in null)
 
         space = next(sp for sp in decompose(fig_graph).spaces if abs(sp.value - 1) < 1e-9)
-        assert vanishing_subspace(space, [2, 4]).shape[1] == 3
+        assert vanishing_subspace(space, [2, 4])[0].shape[1] == 3
 
     def test_all_vertices_gives_zero(self, fig_graph):
         for sp in decompose(fig_graph).spaces:
-            assert vanishing_subspace(sp, range(1, 8)).shape[1] == 0
+            assert vanishing_subspace(sp, range(1, 8))[0].shape[1] == 0
 
 
 class TestExistsSupportExactly:
