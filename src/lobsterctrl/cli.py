@@ -135,7 +135,7 @@ def cmd_mpcs(args) -> int:
             else:
                 # Twins, quads and spine runs have sizes 2, 4 and 8 or more,
                 # so the three detectors never emit the same set.
-                records += detect_quads(g, spine, profile)
+                records += detect_quads(g)
                 records += detect_spine_patterns(g, spine, profile)
         records.sort(key=lambda r: (len(r.vertices), r.sorted_vertices()))
     payload = catalog_to_json(records)

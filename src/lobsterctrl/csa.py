@@ -164,7 +164,7 @@ def run_csa(
         return controllable_certified(g, leaders).controllable
 
     record(1, detect_twins(g))
-    record(2, detect_quads(g, spine, profile))
+    record(2, detect_quads(g))
     cover(3)
     found = controllable_now()
     if not found:

@@ -342,6 +342,13 @@ def attachment_profile(g: Graph, spine: list[int]) -> AttachmentProfile:
 _DOT_EDGE = re.compile(r"(\d+)\s*--\s*(\d+)")
 
 
+def _json_int(value) -> int:
+    """An integer read from graph JSON; booleans are not integers here."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse a graph from JSON ({"n":..., "edges":[[i,j],...]}) or a DOT
     subset (``graph { i -- j; ... }``)."""
@@ -354,8 +361,8 @@ def parse_graph(text: str) -> Graph:
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise GraphError('graph JSON must be an object with "n" and "edges"')
         try:
-            n = operator.index(obj["n"])
-            edges = [(operator.index(i), operator.index(j)) for i, j in obj["edges"]]
+            n = _json_int(obj["n"])
+            edges = [(_json_int(i), _json_int(j)) for i, j in obj["edges"]]
         except (TypeError, ValueError) as exc:
             raise GraphError(
                 f'graph JSON needs an integer "n" and [i, j] integer edges: {exc}'

@@ -7,19 +7,21 @@ proper subset is a PCS.  Every leader set must intersect every MPCS, so the
 MPCS catalog of a graph is the combinatorial core of minimal leader
 selection.
 
-The module provides the predicates, a complete brute-force catalog for small
-graphs (ground truth), and three structural detectors for lobsters: twin
-pairs, quads made of two pendant 2-paths at a common vertex, and spine-run
-patterns of size 8, 12, 16, ... whose eigenvalues are the roots of
-(x - 1)(x - 2) = 1.  Detectors generate candidates; the spectral verifier is
-the authority on what gets emitted.
+The module provides the predicates, three structural detectors for
+lobsters (twin pairs, quads made of two pendant 2-paths at a common vertex,
+and spine-run patterns of size 8, 12, 16, ... whose eigenvalues are the
+roots of (x - 1)(x - 2) = 1), and a complete brute-force catalog.  Detectors
+generate candidates; the spectral verifier is the authority on what gets
+emitted.  The brute-force catalog is exponential and capped at small n: it
+is the reference for ``lobster-ctrl mpcs --brute`` and the tests, and no
+detector or check calls it.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -72,7 +74,6 @@ class CriticalRecord:
     kind: str  # "CS" | "PCS" | "MPCS"
     origin: str  # "twin" | "quad" | "spine8" | "spine4n" | "brute-force"
     witness: Witness | None
-    verified_exact: bool = False
 
     def sorted_vertices(self) -> list[int]:
         return sorted(self.vertices)
@@ -81,7 +82,6 @@ class CriticalRecord:
 @dataclass(frozen=True, eq=False)
 class MpcsCatalog:
     records: tuple[CriticalRecord, ...]
-    complete: bool  # True only for brute-force enumeration at small n
 
     def vertex_sets(self) -> set[frozenset[int]]:
         return {r.vertices for r in self.records}
@@ -147,11 +147,8 @@ def _mpcs_analysis(g: Graph, s: frozenset[int]) -> tuple[bool, list[Witness]]:
 
 def is_mpcs(g: Graph, vertices) -> tuple[bool, Witness | None]:
     """Whether the set is a minimum perfect critical set, plus a witness."""
-    s = frozenset(vertices)
-    if not s:
-        raise GraphError("critical-set query needs a nonempty vertex set")
-    ok, witnesses = _mpcs_analysis(g, s)
-    return ok, (witnesses[0] if ok else None)
+    ok, record = verify_mpcs(g, vertices)
+    return ok, (record.witness if ok else None)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +204,13 @@ def enumerate_pcs_bruteforce(g: Graph) -> list[CriticalRecord]:
             if support not in found:
                 found[support] = Witness(value=sp.value, vector=vec)
     records = [
-        CriticalRecord(vertices=s, kind="PCS", origin="brute-force", witness=w, verified_exact=True)
+        CriticalRecord(vertices=s, kind="PCS", origin="brute-force", witness=w)
         for s, w in found.items()
     ]
     records.sort(key=lambda r: (len(r.vertices), r.sorted_vertices()))
     return records
 
 
-@lru_cache(maxsize=32)
 def enumerate_mpcs_bruteforce(g: Graph) -> MpcsCatalog:
     """The complete MPCS catalog of a small graph.
 
@@ -226,16 +222,8 @@ def enumerate_mpcs_bruteforce(g: Graph) -> MpcsCatalog:
     for rec in pcs:  # already sorted by size
         if any(kept.vertices < rec.vertices for kept in minimal):
             continue
-        minimal.append(
-            CriticalRecord(
-                vertices=rec.vertices,
-                kind="MPCS",
-                origin="brute-force",
-                witness=rec.witness,
-                verified_exact=True,
-            )
-        )
-    return MpcsCatalog(records=tuple(minimal), complete=True)
+        minimal.append(replace(rec, kind="MPCS"))
+    return MpcsCatalog(records=tuple(minimal))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +278,7 @@ def _pendant_two_paths(g: Graph, v: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def detect_quads(
-    g: Graph, spine: list[int] | None = None, profile: AttachmentProfile | None = None
-) -> list[CriticalRecord]:
+def detect_quads(g: Graph) -> list[CriticalRecord]:
     """Four-vertex MPCS candidates from pairs of pendant 2-paths.
 
     Every vertex carrying at least two pendant 2-paths contributes one
@@ -413,9 +399,9 @@ def verify_mpcs(
     """Certify a candidate MPCS and build its record.
 
     When expected_value (a number or an iterable of numbers) is given, the
-    witness eigenvalue must match one of them within 1e-8.  On graphs small
-    enough for full enumeration the record is additionally marked
-    verified_exact when the brute-force catalog confirms membership.
+    witness eigenvalue must match one of them within 1e-8.  The verdict is
+    spectral at every size; the brute-force catalog, a small-n reference for
+    ``mpcs --brute`` and the tests, is never consulted.
     """
     s = frozenset(vertices)
     if not s:
@@ -438,13 +424,7 @@ def verify_mpcs(
         if not matching:
             return False, None
         witness = matching[0]
-    verified = False
-    if g.n <= BRUTEFORCE_N_CAP:
-        verified = s in enumerate_mpcs_bruteforce(g).vertex_sets()
-    record = CriticalRecord(
-        vertices=s, kind="MPCS", origin=origin, witness=witness, verified_exact=verified
-    )
-    return True, record
+    return True, CriticalRecord(vertices=s, kind="MPCS", origin=origin, witness=witness)
 
 
 def catalog_to_json(records) -> str:

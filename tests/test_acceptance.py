@@ -27,9 +27,7 @@ from lobsterctrl.experiments import SweepConfig, run_success_probability, write_
 from lobsterctrl.graph import (
     Graph,
     LobsterSpec,
-    attachment_profile,
     build_lobster,
-    find_spine,
     laplacian,
     random_lobster,
 )
@@ -129,8 +127,7 @@ def test_criterion_04_quad_eigenpair_numeric():
     fixtures.append((lob, (8, 9, 10, 11)))
 
     for g, (i1, t1, i2, t2) in fixtures:
-        spine = find_spine(g)
-        quads = detect_quads(g, spine, attachment_profile(g, spine))
+        quads = detect_quads(g)
         rec = next(r for r in quads if r.vertices == frozenset({i1, t1, i2, t2}))
         assert abs(rec.witness.value - QUAD_EIGENVALUE) <= 1e-9
         y = rec.witness.vector

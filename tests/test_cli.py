@@ -81,6 +81,8 @@ class TestAnalyze:
             '{"n": 3, "edges": 5}',
             '{"n": 3, "edges": [[1.5,2]]}',
             "graph 1 -- 2",
+            '{"n": 3, "edges": [[true, 2], [2, 3]]}',
+            '{"n": true, "edges": []}',
         ],
     )
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text):
@@ -116,7 +118,7 @@ class TestMpcs:
             profile = attachment_profile(g, spine)
         except GraphError:
             return records  # not a lobster: twins only
-        return records + detect_quads(g, spine, profile) + detect_spine_patterns(g, spine, profile)
+        return records + detect_quads(g) + detect_spine_patterns(g, spine, profile)
 
     def test_detect_json_is_sorted_detector_union(self, tmp_path, capsys):
         spider = Graph.from_edges(  # three legs of length 3: a tree, not a lobster

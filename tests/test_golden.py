@@ -69,7 +69,7 @@ def golden_outputs(spine_len: int, seed: int) -> list[str]:
         json.dumps(spine),
         report_to_json(report),
         catalog_to_json(detect_twins(g)),
-        catalog_to_json(detect_quads(g, spine, profile)),
+        catalog_to_json(detect_quads(g)),
         catalog_to_json(detect_spine_patterns(g, spine, profile)),
     ]
     out = [json.dumps(_canonical(json.loads(t))) for t in texts]

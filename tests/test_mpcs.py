@@ -2,12 +2,16 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
+import lobsterctrl.mpcs
 from lobsterctrl.control import kalman_controllable_exact
+from lobsterctrl.csa import run_csa
 from lobsterctrl.graph import (
+    BASE_CONFIGS,
     Graph,
     GraphError,
     LobsterSpec,
@@ -89,7 +93,6 @@ class TestPredicates:
 class TestBruteforceEnumeration:
     def test_benchmark_catalog(self, fig_graph):
         catalog = enumerate_mpcs_bruteforce(fig_graph)
-        assert catalog.complete
         assert catalog.vertex_sets() == {
             frozenset({1, 3}),
             frozenset({5, 6}),
@@ -193,8 +196,7 @@ class TestDetectTwins:
 class TestDetectQuads:
     def test_two_paths_at_one_spine_vertex(self):
         g = build_lobster(LobsterSpec.make(7, [(), (), (), (2, 2), (), (), ()]))
-        spine = find_spine(g)
-        quads = detect_quads(g, spine, attachment_profile(g, spine))
+        quads = detect_quads(g)
         assert len(quads) == 1
         rec = quads[0]
         assert rec.vertices == frozenset({8, 9, 10, 11})
@@ -293,7 +295,7 @@ class TestDetectSpinePatterns:
 class TestVerifyMpcs:
     def test_confirms_benchmark_pair(self, fig_graph):
         ok, rec = verify_mpcs(fig_graph, {1, 3}, expected_value=1.0)
-        assert ok and rec.verified_exact
+        assert ok and rec.vertices in enumerate_mpcs_bruteforce(fig_graph).vertex_sets()
 
     def test_rejects_triple(self, fig_graph):
         ok, rec = verify_mpcs(fig_graph, {1, 3, 5})
@@ -301,7 +303,7 @@ class TestVerifyMpcs:
 
     def test_p5_quad_with_expected_eigenvalue(self, p5):
         ok, rec = verify_mpcs(p5, {1, 2, 4, 5}, expected_value=QUAD_EIGENVALUE)
-        assert ok and rec.verified_exact
+        assert ok and rec.vertices in enumerate_mpcs_bruteforce(p5).vertex_sets()
         y = rec.witness.vector / rec.witness.vector[1]  # normalize at inner vertex 2
         assert abs(y[0] - GOLDEN) <= 1e-8
         assert abs(y[3] + 1.0) <= 1e-8
@@ -310,6 +312,32 @@ class TestVerifyMpcs:
     def test_wrong_expected_eigenvalue_fails(self, fig_graph):
         ok, _ = verify_mpcs(fig_graph, {1, 3}, expected_value=2.0)
         assert not ok
+
+    def test_detectors_and_csa_never_enumerate(self, monkeypatch):
+        # A spine-8 run flanked by 2-paths plus a quad, n = 14, under a
+        # relabelling no other test builds, so no cache can hide a call.
+        base = build_lobster(LobsterSpec.make(6, [(), (2,), (1,), (1,), (2, 2), ()]))
+        perm = list(range(1, base.n + 1))
+        random.Random(8191).shuffle(perm)
+        g = Graph.from_edges(base.n, [(perm[u - 1], perm[w - 1]) for u, w in base.edges])
+        original = lobsterctrl.mpcs.enumerate_pcs_bruteforce
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lobsterctrl") and getattr(
+                module, "enumerate_pcs_bruteforce", None
+            ) is original:
+                monkeypatch.setattr(module, "enumerate_pcs_bruteforce", counting)
+        spine = find_spine(g)
+        profile = attachment_profile(g, spine)
+        detect_twins(g)
+        assert detect_quads(g) and detect_spine_patterns(g, spine, profile)
+        assert run_csa(g).status == "found"
+        assert calls == []
 
 
 class TestStructuralProperties:
@@ -358,20 +386,29 @@ class TestStructuralProperties:
 
     def test_detector_soundness_on_random_lobsters(self):
         rng = random.Random(113)
-        for _ in range(10):
-            g = build_lobster(random_lobster(rng.randint(4, 8), seed=rng.randrange(10**6)))
+        lobsters = [
+            build_lobster(random_lobster(rng.randint(4, 8), seed=rng.randrange(10**6)))
+            for _ in range(10)
+        ]
+        # every spine-6 lobster of load at most 2: 4**4 attachment patterns, n <= 14
+        configs = [c for c in BASE_CONFIGS if sum(c) <= 2]
+        lobsters += [
+            build_lobster(LobsterSpec.make(6, [(), *pattern, ()]))
+            for pattern in itertools.product(configs, repeat=4)
+        ]
+        for g in lobsters:
             spine = find_spine(g)
             profile = attachment_profile(g, spine)
             records = (
                 detect_twins(g)
-                + detect_quads(g, spine, profile)
+                + detect_quads(g)
                 + detect_spine_patterns(g, spine, profile)
             )
+            catalog = enumerate_mpcs_bruteforce(g).vertex_sets() if g.n <= 16 else None
             for rec in records:
                 ok, _ = verify_mpcs(g, rec.vertices)
                 assert ok
-                if g.n <= 16:
-                    assert rec.vertices in enumerate_mpcs_bruteforce(g).vertex_sets()
+                assert catalog is None or rec.vertices in catalog
 
 
 class TestCatalogJson:
