@@ -174,9 +174,8 @@ class AttachmentProfile:
 
     For spine position i: p1[i] counts all off-spine neighbors of the spine
     vertex, p2[i] the off-spine vertices at distance exactly 2, s1[i] the
-    pendant (degree-1) vertices among the distance-1 layer, s2[i] the tips
-    of attached length-2 paths, and two_paths[i] the (inner, tip) pairs of
-    proper attached 2-paths (inner of degree exactly 2).
+    pendant (degree-1) vertices among the distance-1 layer, and s2[i] the
+    tips of attached length-2 paths.
     """
 
     spine: tuple[int, ...]
@@ -184,7 +183,6 @@ class AttachmentProfile:
     p2: tuple[int, ...]
     s1: tuple[tuple[int, ...], ...]
     s2: tuple[tuple[int, ...], ...]
-    two_paths: tuple[tuple[tuple[int, int], ...], ...]
 
     def load(self, i: int) -> int:
         """p1 + p2 at spine position i."""
@@ -311,27 +309,19 @@ def attachment_profile(g: Graph, spine: list[int]) -> AttachmentProfile:
     levels: dict[int, tuple[list[int], list[int]]] = {sv: ([], []) for sv in spine}
     for v in sorted(anchor):  # each spine vertex's layers come out sorted
         levels[anchor[v]][dist[v] - 1].append(v)
-    p1, p2, s1, s2, two_paths = [], [], [], [], []
+    p1, p2, s1, s2 = [], [], [], []
     for sv in spine:
         level1, level2 = levels[sv]
         p1.append(len(level1))
         p2.append(len(level2))
         s1.append(tuple(v for v in level1 if g.degree(v) == 1))
         s2.append(tuple(level2))
-        pairs = []
-        for inner in level1:
-            if g.degree(inner) == 2:
-                tip = [w for w in g.adjacency[inner] if w != sv]
-                if tip and dist[tip[0]] == 2:
-                    pairs.append((inner, tip[0]))
-        two_paths.append(tuple(pairs))
     return AttachmentProfile(
         spine=tuple(spine),
         p1=tuple(p1),
         p2=tuple(p2),
         s1=tuple(s1),
         s2=tuple(s2),
-        two_paths=tuple(two_paths),
     )
 
 

@@ -72,7 +72,7 @@ class CriticalRecord:
 
     vertices: frozenset[int]
     kind: str  # "CS" | "PCS" | "MPCS"
-    origin: str  # "twin" | "quad" | "spine8" | "spine4n" | "brute-force"
+    origin: str  # "twin" | "quad" | "spine8" | "spine4n" | "brute-force" | "spectral"
     witness: Witness | None
 
     def sorted_vertices(self) -> list[int]:
@@ -147,7 +147,7 @@ def _mpcs_analysis(g: Graph, s: frozenset[int]) -> tuple[bool, list[Witness]]:
 
 def is_mpcs(g: Graph, vertices) -> tuple[bool, Witness | None]:
     """Whether the set is a minimum perfect critical set, plus a witness."""
-    ok, record = verify_mpcs(g, vertices)
+    ok, record = verify_mpcs(g, vertices, origin="spectral")
     return ok, (record.witness if ok else None)
 
 
@@ -287,39 +287,15 @@ def detect_quads(g: Graph) -> list[CriticalRecord]:
     candidate is verified before emission.
     """
     records = []
-    seen: set[frozenset[int]] = set()
     for v in range(1, g.n + 1):
-        paths = _pendant_two_paths(g, v)
-        if len(paths) < 2:
-            continue
-        for (a1, b1), (a2, b2) in itertools.combinations(paths, 2):
-            s = frozenset((a1, b1, a2, b2))
-            if s in seen:
-                continue
-            seen.add(s)
-            ok, record = verify_mpcs(g, s, expected_value=QUAD_EIGENVALUE, origin="quad")
+        for p, q in itertools.combinations(_pendant_two_paths(g, v), 2):
+            ok, record = verify_mpcs(
+                g, p + q, origin="quad", expected_values=(QUAD_EIGENVALUE,)
+            )
             if ok:
                 records.append(record)
     records.sort(key=lambda r: r.sorted_vertices())
     return records
-
-
-def _flank_two_paths(
-    g: Graph, spine: list[int], profile: AttachmentProfile, pos: int
-) -> list[tuple[int, int]]:
-    """2-paths usable as a flank anchor at spine position pos.
-
-    Besides proper off-spine attachments, a bare spine end segment two
-    positions away acts as an attached 2-path of the third vertex from that
-    end.
-    """
-    paths = list(profile.two_paths[pos])
-    if pos == 2 and g.degree(spine[1]) == 2 and g.degree(spine[0]) == 1:
-        paths.append((spine[1], spine[0]))
-    last = len(spine) - 1
-    if pos == last - 2 and g.degree(spine[last - 1]) == 2 and g.degree(spine[last]) == 1:
-        paths.append((spine[last - 1], spine[last]))
-    return paths
 
 
 def detect_spine_patterns(
@@ -328,80 +304,55 @@ def detect_spine_patterns(
     """Spine-run MPCS candidates of size 8, 12, 16, ...
 
     Layout per candidate: a flank spine vertex outside the set contributing
-    an attached 2-path, then one or more adjacent spine pairs inside the set
+    a pendant 2-path, then one or more adjacent spine pairs inside the set
     (each pair vertex carrying exactly one pendant, also inside), pairs
     separated by single excluded spine vertices, closed by a mirror flank
-    with its own 2-path.  Both spine orientations are scanned and every
-    candidate must verify with an eigenvalue among the two roots of
-    (x - 1)(x - 2) = 1.
+    with its own pendant 2-path.  A bare spine end segment is a pendant
+    2-path of the third vertex from that end.  The layout is mirror-symmetric,
+    so scanning one spine orientation finds every candidate.  Each candidate
+    must verify with an eigenvalue among the two roots of (x - 1)(x - 2) = 1.
     """
+    # The one pendant of a spine vertex with p1 == 1 and p2 == 0 is a leaf.
+    pendant = [
+        s1[0] if p1 == 1 and p2 == 0 else None
+        for p1, p2, s1 in zip(profile.p1, profile.p2, profile.s1)
+    ]
     records: list[CriticalRecord] = []
-    seen: set[frozenset[int]] = set()
-
-    def interior_ok(pro: AttachmentProfile, pos: int) -> bool:
-        return pro.p1[pos] == 1 and pro.p2[pos] == 0 and len(pro.s1[pos]) == 1
-
-    def scan(sp: list[int], pro: AttachmentProfile) -> None:
-        length = len(sp)
-        for left in range(length):
-            left_paths = _flank_two_paths(g, sp, pro, left)
-            if not left_paths:
-                continue
-            m = 1
-            while left + 3 * m < length:
-                right = left + 3 * m
-                pair_positions = [
-                    (left + 3 * t + 1, left + 3 * t + 2) for t in range(m)
-                ]
-                if not all(
-                    interior_ok(pro, a) and interior_ok(pro, b)
-                    for a, b in pair_positions
-                ):
-                    break  # longer runs reuse these interior slots
-                right_paths = _flank_two_paths(g, sp, pro, right)
-                if right_paths:
-                    core = set()
-                    for a, b in pair_positions:
-                        core.update((sp[a], pro.s1[a][0], sp[b], pro.s1[b][0]))
-                    for lp, rp in itertools.product(left_paths, right_paths):
-                        s = frozenset(core | set(lp) | set(rp))
-                        if len(s) != 4 * (m + 1) or s in seen:
-                            continue
-                        seen.add(s)
-                        ok, record = verify_mpcs(
-                            g,
-                            s,
-                            expected_value=SPINE_EIGENVALUES,
-                            origin="spine8" if m == 1 else "spine4n",
-                        )
-                        if ok:
-                            records.append(record)
-                m += 1
-
-    scan(list(spine), profile)
-    reversed_spine = list(reversed(spine))
-    reversed_profile = AttachmentProfile(
-        spine=tuple(reversed_spine),
-        p1=tuple(reversed(profile.p1)),
-        p2=tuple(reversed(profile.p2)),
-        s1=tuple(reversed(profile.s1)),
-        s2=tuple(reversed(profile.s2)),
-        two_paths=tuple(reversed(profile.two_paths)),
-    )
-    scan(reversed_spine, reversed_profile)
+    for left in range(len(spine)):
+        left_paths = _pendant_two_paths(g, spine[left])
+        if not left_paths:
+            continue
+        core: set[int] = set()
+        m = 1
+        while left + 3 * m < len(spine):
+            a, b = left + 3 * m - 2, left + 3 * m - 1
+            if pendant[a] is None or pendant[b] is None:
+                break  # longer runs reuse these interior slots
+            core.update((spine[a], pendant[a], spine[b], pendant[b]))
+            right_paths = _pendant_two_paths(g, spine[left + 3 * m])
+            for lp, rp in itertools.product(left_paths, right_paths):
+                ok, record = verify_mpcs(
+                    g,
+                    core.union(lp, rp),
+                    origin="spine8" if m == 1 else "spine4n",
+                    expected_values=SPINE_EIGENVALUES,
+                )
+                if ok:
+                    records.append(record)
+            m += 1
     records.sort(key=lambda r: (len(r.vertices), r.sorted_vertices()))
     return records
 
 
 def verify_mpcs(
-    g: Graph, vertices, expected_value=None, origin: str = "brute-force"
+    g: Graph, vertices, origin: str, expected_values: tuple[float, ...] | None = None
 ) -> tuple[bool, CriticalRecord | None]:
     """Certify a candidate MPCS and build its record.
 
-    When expected_value (a number or an iterable of numbers) is given, the
-    witness eigenvalue must match one of them within 1e-8.  The verdict is
-    spectral at every size; the brute-force catalog, a small-n reference for
-    ``mpcs --brute`` and the tests, is never consulted.
+    When expected_values is given, the witness eigenvalue must match one of
+    them within 1e-8.  The verdict is spectral at every size; the brute-force
+    catalog, a small-n reference for ``mpcs --brute`` and the tests, is never
+    consulted.
     """
     s = frozenset(vertices)
     if not s:
@@ -409,22 +360,15 @@ def verify_mpcs(
     ok, witnesses = _mpcs_analysis(g, s)
     if not ok:
         return False, None
-    witness = witnesses[0]
-    if expected_value is not None:
-        targets = (
-            (float(expected_value),)
-            if isinstance(expected_value, (int, float))
-            else tuple(float(x) for x in expected_value)
-        )
-        matching = [
+    if expected_values is not None:
+        witnesses = [
             w
             for w in witnesses
-            if any(abs(w.value - t) <= EXPECTED_LAMBDA_TOL for t in targets)
+            if any(abs(w.value - t) <= EXPECTED_LAMBDA_TOL for t in expected_values)
         ]
-        if not matching:
+        if not witnesses:
             return False, None
-        witness = matching[0]
-    return True, CriticalRecord(vertices=s, kind="MPCS", origin=origin, witness=witness)
+    return True, CriticalRecord(vertices=s, kind="MPCS", origin=origin, witness=witnesses[0])
 
 
 def catalog_to_json(records) -> str:

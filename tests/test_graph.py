@@ -192,7 +192,6 @@ class TestAttachmentProfile:
         prof = attachment_profile(g, [1, 2, 3, 4, 5])
         assert prof.p1[2] == 1 and prof.p2[2] == 1
         assert prof.s1[2] == () and prof.s2[2] == (7,)
-        assert prof.two_paths[2] == ((6, 7),)
 
     def test_sum_invariant(self):
         for seed in range(10):

@@ -291,18 +291,52 @@ class TestDetectSpinePatterns:
         spine = find_spine(g)
         assert detect_spine_patterns(g, spine, attachment_profile(g, spine)) == []
 
+    def test_catalog_independent_of_spine_orientation(self):
+        # The run layout is mirror-symmetric, so one scan must find what a
+        # scan of the reversed spine finds.
+        configs = [c for c in BASE_CONFIGS if sum(c) <= 2]
+        specs = [
+            LobsterSpec.make(6, [(), *pattern, ()])
+            for pattern in itertools.product(configs, repeat=4)
+        ]
+        rng = random.Random(131)
+        for _ in range(40):
+            length = rng.randint(8, 40)
+            attach = [rng.choice([(1,), (2,), ()]) for _ in range(length)]
+            specs.append(LobsterSpec.make(length, attach))
+        # three pendant pairs between the two spine-end segments: 16-vertex runs
+        specs.append(
+            LobsterSpec.make(
+                14, [(), (), (), (1,), (1,), (), (1,), (1,), (), (1,), (1,), (2,), (), ()]
+            )
+        )
+        origins = set()
+        end_flank = False
+        for spec in specs:
+            g = build_lobster(spec)
+            spine = find_spine(g)
+            records = detect_spine_patterns(g, spine, attachment_profile(g, spine))
+            back = spine[::-1]
+            mirrored = detect_spine_patterns(g, back, attachment_profile(g, back))
+            assert catalog_to_json(mirrored) == catalog_to_json(records), spec
+            origins.update(r.origin for r in records)
+            end_flank |= any({spine[0], spine[-1]} & r.vertices for r in records)
+        assert origins == {"spine8", "spine4n"} and end_flank
+
 
 class TestVerifyMpcs:
     def test_confirms_benchmark_pair(self, fig_graph):
-        ok, rec = verify_mpcs(fig_graph, {1, 3}, expected_value=1.0)
+        ok, rec = verify_mpcs(fig_graph, {1, 3}, origin="twin", expected_values=(1.0,))
         assert ok and rec.vertices in enumerate_mpcs_bruteforce(fig_graph).vertex_sets()
 
     def test_rejects_triple(self, fig_graph):
-        ok, rec = verify_mpcs(fig_graph, {1, 3, 5})
+        ok, rec = verify_mpcs(fig_graph, {1, 3, 5}, origin="spectral")
         assert not ok and rec is None
 
     def test_p5_quad_with_expected_eigenvalue(self, p5):
-        ok, rec = verify_mpcs(p5, {1, 2, 4, 5}, expected_value=QUAD_EIGENVALUE)
+        ok, rec = verify_mpcs(
+            p5, {1, 2, 4, 5}, origin="quad", expected_values=(QUAD_EIGENVALUE,)
+        )
         assert ok and rec.vertices in enumerate_mpcs_bruteforce(p5).vertex_sets()
         y = rec.witness.vector / rec.witness.vector[1]  # normalize at inner vertex 2
         assert abs(y[0] - GOLDEN) <= 1e-8
@@ -310,7 +344,7 @@ class TestVerifyMpcs:
         assert abs(y[4] + GOLDEN) <= 1e-8
 
     def test_wrong_expected_eigenvalue_fails(self, fig_graph):
-        ok, _ = verify_mpcs(fig_graph, {1, 3}, expected_value=2.0)
+        ok, _ = verify_mpcs(fig_graph, {1, 3}, origin="twin", expected_values=(2.0,))
         assert not ok
 
     def test_detectors_and_csa_never_enumerate(self, monkeypatch):
@@ -406,7 +440,7 @@ class TestStructuralProperties:
             )
             catalog = enumerate_mpcs_bruteforce(g).vertex_sets() if g.n <= 16 else None
             for rec in records:
-                ok, _ = verify_mpcs(g, rec.vertices)
+                ok, _ = verify_mpcs(g, rec.vertices, rec.origin)
                 assert ok
                 assert catalog is None or rec.vertices in catalog
 
