@@ -22,7 +22,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, laplacian
 from .mpcs import graph_decomposition
 from .spectral import RANK_TOL, Witness, vanishing_spaces
 
@@ -254,18 +254,29 @@ class MinLeaderResult:
         return f"k_min = {self.k_min}, count = {self.count}"
 
 
+def _eigenvalue_one_multiplicity(g: Graph) -> int:
+    """Exact multiplicity of Laplacian eigenvalue 1, the nullity of L - I."""
+    echelon = _IntegerEchelon(g.n)
+    for row in (laplacian(g) - np.eye(g.n, dtype=np.int64)).tolist():
+        echelon.insert(row)
+    return g.n - echelon.rank
+
+
 def min_leader_bruteforce(g: Graph, k_max: int) -> MinLeaderResult:
     """Smallest controllable leader-set size by exhaustive search.
 
     Uses the exact rational oracle on every candidate subset, so the result
-    carries no tolerance caveats.  Capped at n <= 25 vertices.
+    carries no tolerance caveats.  The search starts at the exact
+    multiplicity m of eigenvalue 1: fewer than m leaders leave a nonzero
+    eigenvector of that eigenspace vanishing on all of them, so no smaller
+    set is controllable.  Capped at n <= 25 vertices.
     """
     if g.n > BRUTEFORCE_N_CAP:
         raise GraphError(f"brute-force leader search capped at n={BRUTEFORCE_N_CAP}")
     if not g.is_connected:
         raise GraphError("brute-force leader search requires a connected graph")
     k_max = min(k_max, g.n)
-    for k in range(1, k_max + 1):
+    for k in range(max(1, _eigenvalue_one_multiplicity(g)), k_max + 1):
         winners = [
             frozenset(c)
             for c in itertools.combinations(range(1, g.n + 1), k)

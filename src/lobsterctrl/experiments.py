@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .control import kalman_controllable_exact
@@ -117,6 +116,8 @@ def run_sweep(cfg: SweepConfig, ablate: bool = False) -> SweepResult:
     """Run the full (n, trial) grid and aggregate per spine length."""
     tasks = [(cfg, n, t, ablate) for n in cfg.n_values for t in range(cfg.trials)]
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             raw = list(pool.map(_run_trial, tasks, chunksize=8))
     else:

@@ -218,8 +218,11 @@ def random_lobster(spine_len: int, seed: int, max_load: int = 2) -> LobsterSpec:
 
     Each interior spine vertex receives an attachment config drawn i.i.d.
     uniformly from the base configs filtered to load p1 + p2 <= max_load.
-    End spine vertices stay empty so the declared spine remains a longest
-    path of the realization.
+    End spine vertices stay empty, but the declared spine need not be a
+    longest path of the realization: a pendant 2-path at the second or
+    second-to-last spine vertex makes a longer one.  `find_spine`, not the
+    spec, gives the spine of the built graph; sweeps report the declared
+    length.
     """
     if spine_len < 2:
         raise GraphError(f"spine_len must be >= 2, got {spine_len}")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import lobsterctrl.control
 from lobsterctrl.control import (
     LeaderSet,
+    _eigenvalue_one_multiplicity,
     controllable_certified,
     count_to_probability,
     kalman_controllable_exact,
@@ -18,9 +19,32 @@ from lobsterctrl.control import (
     minimum_hitting_set,
     pbh_controllable,
 )
-from lobsterctrl.graph import Graph, GraphError, build_lobster, random_lobster
+from lobsterctrl.graph import (
+    BASE_CONFIGS,
+    Graph,
+    GraphError,
+    LobsterSpec,
+    build_lobster,
+    laplacian,
+    random_lobster,
+)
+from lobsterctrl.spectral import eigen_decompose
 
 from .conftest import path_graph, random_connected_graph
+from .test_equivalence import complete, cycle, petersen, relabeled, spider, star
+
+
+def min_leader_by_levels(g: Graph, k_max: int) -> tuple:
+    """(k_min, count, sets, lower_bound) from a plain search starting at k = 1."""
+    for k in range(1, min(k_max, g.n) + 1):
+        winners = tuple(
+            frozenset(c)
+            for c in itertools.combinations(range(1, g.n + 1), k)
+            if kalman_controllable_exact(g, c).controllable
+        )
+        if winners:
+            return k, len(winners), winners, k
+    return None, 0, None, min(k_max, g.n) + 1
 
 
 class TestPbh:
@@ -170,6 +194,53 @@ class TestMinLeaderBruteforce:
         g = path_graph(26)
         with pytest.raises(GraphError, match="capped"):
             min_leader_bruteforce(g, 2)
+
+    def test_matches_search_from_one(self):
+        configs = [c for c in BASE_CONFIGS if sum(c) <= 2]
+        patterns = list(itertools.product(configs, repeat=4))[::8]
+        rng = random.Random(0x1EAD)
+        graphs = [relabeled(build_lobster(LobsterSpec.make(6, [(), *p, ()])), rng) for p in patterns]
+        K23 = Graph.from_edges(5, [(i, j) for i in (1, 2) for j in (3, 4, 5)])
+        graphs += [complete(4), cycle(5), cycle(6), K23, petersen(), spider(3, 2)]
+        cases = [(g, g.n) for g in graphs] + [(star(7, 1), 3)]  # k_max below the start of 5
+        starts = []
+        for g, k_max in cases:
+            assert g.n <= 14
+            result = min_leader_bruteforce(g, k_max)
+            got = (result.k_min, result.count, result.sets, result.lower_bound)
+            assert got == min_leader_by_levels(g, k_max), sorted(g.edges)
+            starts.append(_eigenvalue_one_multiplicity(g))
+        assert max(starts) > 1
+
+    def test_skips_levels_below_multiplicity(self, monkeypatch):
+        # K1,6: eigenvalue 1 has multiplicity 5, so only the C(7, 5) sets of
+        # size 5 are tried; a search from k = 1 makes 7 + 21 + 35 + 35 + 21 calls.
+        calls = []
+        exact = lobsterctrl.control.kalman_controllable_exact
+
+        def counting(g, leaders):
+            calls.append(leaders)
+            return exact(g, leaders)
+
+        monkeypatch.setattr(lobsterctrl.control, "kalman_controllable_exact", counting)
+        result = min_leader_bruteforce(star(7, 1), 7)
+        assert result.k_min == 5 and result.count == 6
+        assert len(calls) == math.comb(7, 5) == 21
+
+    def test_multiplicity_is_float_multiplicity_of_one(self):
+        rng = random.Random(0x0E1)
+        seen_multiple = 0
+        for _ in range(60):
+            g = build_lobster(random_lobster(rng.randint(3, 9), rng.getrandbits(32)))
+            if g.n > 25:
+                continue
+            spaces = eigen_decompose(laplacian(g).astype(float)).spaces
+            expected = sum(sp.multiplicity for sp in spaces if abs(sp.value - 1.0) < 1e-6)
+            assert _eigenvalue_one_multiplicity(g) == expected, sorted(g.edges)
+            seen_multiple += expected > 1
+        assert seen_multiple
+        assert _eigenvalue_one_multiplicity(complete(4)) == 0
+        assert _eigenvalue_one_multiplicity(cycle(5)) == 0
 
 
 class TestMinimumHittingSet:

@@ -1,5 +1,8 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -46,6 +49,20 @@ class TestSweepBasics:
         write_csv(run_sweep(tiny_cfg(jobs=1)), str(serial))
         write_csv(run_sweep(tiny_cfg(jobs=2)), str(parallel))
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # Only jobs > 1 needs the pool, so importing the package must not
+        # pull in concurrent.futures.process and multiprocessing.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, lobsterctrl; assert 'concurrent.futures.process' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_mean_total_at_least_spine(self):
         res = run_sweep(tiny_cfg(trials=5))
