@@ -128,15 +128,14 @@ def cmd_mpcs(args) -> int:
         records = detect_twins(g)
         if g.is_tree():
             try:
-                spine = find_spine(g)
-                profile = attachment_profile(g, spine)
+                profile = attachment_profile(g, find_spine(g))
             except GraphError:
                 pass  # tree but not a lobster: twins only
             else:
                 # Twins, quads and spine runs have sizes 2, 4 and 8 or more,
                 # so the three detectors never emit the same set.
                 records += detect_quads(g)
-                records += detect_spine_patterns(g, spine, profile)
+                records += detect_spine_patterns(g, profile)
         records.sort(key=lambda r: (len(r.vertices), r.sorted_vertices()))
     payload = catalog_to_json(records)
     if args.json is not None:

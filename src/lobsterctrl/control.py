@@ -5,7 +5,7 @@ dynamics of a connected graph:
 
 * a floating-point eigenspace test (controllable iff no Laplacian
   eigenvector vanishes on every leader, asked of
-  `spectral.vanishing_spaces`), and
+  `spectral.vanishing_witness`), and
 * an exact rational Kalman rank, computed by fraction-free elimination on
   big integers with no tolerances anywhere.
 
@@ -15,6 +15,7 @@ masked by loosening tolerances.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ import numpy as np
 
 from .graph import Graph, GraphError, laplacian
 from .mpcs import graph_decomposition
-from .spectral import RANK_TOL, Witness, vanishing_spaces
+from .spectral import RANK_TOL, Witness, vanishing_witness
 
 __all__ = [
     "LeaderSet",
@@ -84,25 +85,18 @@ BORDERLINE_WIDENING = 10.0  # singular values this close to the cut escalate
 def _pbh_verdict(g: Graph, leaders) -> tuple[ControllabilityVerdict, bool]:
     """Eigenspace test plus a borderline flag.
 
-    Controllable iff no eigenvector vanishes on every leader, i.e. iff
-    `vanishing_spaces` of the leader set is empty.  Otherwise the first such
-    eigenspace in value order yields the witness.  The flag marks positive
-    verdicts that would flip under a tenfold tolerance widening, i.e. some
-    space kept full rank only through a singular value barely above the cut.
+    Controllable iff no eigenvector vanishes on every leader; otherwise
+    `vanishing_witness` gives the first such eigenvector in value order as
+    the witness.  The flag marks positive verdicts that would flip under a
+    tenfold tolerance widening, i.e. some space kept full rank only through
+    a singular value barely above the cut.
     """
     if not g.is_connected:
         raise GraphError("controllability test requires a connected graph")
     ls = _as_leader_set(leaders, g.n)
-    vanishing, margin = vanishing_spaces(graph_decomposition(g), ls.vertices)
-    if vanishing:
-        sp, coeffs = vanishing[0]
-        vec = sp.basis @ coeffs[:, 0]
-        vec = vec / np.max(np.abs(vec))
-        verdict = ControllabilityVerdict(
-            controllable=False,
-            method="pbh-float",
-            witness=Witness(value=sp.value, vector=vec),
-        )
+    witness, margin = vanishing_witness(graph_decomposition(g), ls.vertices)
+    if witness is not None:
+        verdict = ControllabilityVerdict(controllable=False, method="pbh-float", witness=witness)
         return verdict, False
     borderline = margin <= BORDERLINE_WIDENING * RANK_TOL
     return ControllabilityVerdict(controllable=True, method="pbh-float"), borderline
@@ -176,9 +170,7 @@ class _IntegerEchelon:
         if vec is None:
             return None
         pivot = next(i for i, x in enumerate(vec) if x != 0)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pivot:
-            pos += 1
+        pos = bisect.bisect_left(self.pivots, pivot)
         self.pivots.insert(pos, pivot)
         self.rows.insert(pos, vec)
         return vec
@@ -246,7 +238,7 @@ class MinLeaderResult:
     k_min: int | None  # None when nothing controllable up to k_max
     count: int
     sets: tuple[frozenset[int], ...] | None  # omitted when count > LIST_CAP
-    lower_bound: int  # k_min when found, else k_max + 1
+    lower_bound: int  # k_min when found, else max(k_max + 1, multiplicity of eigenvalue 1)
 
     def summary(self) -> str:
         if self.k_min is None:
@@ -269,14 +261,16 @@ def min_leader_bruteforce(g: Graph, k_max: int) -> MinLeaderResult:
     carries no tolerance caveats.  The search starts at the exact
     multiplicity m of eigenvalue 1: fewer than m leaders leave a nonzero
     eigenvector of that eigenspace vanishing on all of them, so no smaller
-    set is controllable.  Capped at n <= 25 vertices.
+    set is controllable, and a search that finds nothing up to k_max
+    reports the lower bound max(k_max + 1, m).  Capped at n <= 25 vertices.
     """
     if g.n > BRUTEFORCE_N_CAP:
         raise GraphError(f"brute-force leader search capped at n={BRUTEFORCE_N_CAP}")
     if not g.is_connected:
         raise GraphError("brute-force leader search requires a connected graph")
     k_max = min(k_max, g.n)
-    for k in range(max(1, _eigenvalue_one_multiplicity(g)), k_max + 1):
+    m = _eigenvalue_one_multiplicity(g)
+    for k in range(max(1, m), k_max + 1):
         winners = [
             frozenset(c)
             for c in itertools.combinations(range(1, g.n + 1), k)
@@ -289,7 +283,7 @@ def min_leader_bruteforce(g: Graph, k_max: int) -> MinLeaderResult:
                 sets=tuple(winners) if len(winners) <= LIST_CAP else None,
                 lower_bound=k,
             )
-    return MinLeaderResult(k_min=None, count=0, sets=None, lower_bound=k_max + 1)
+    return MinLeaderResult(k_min=None, count=0, sets=None, lower_bound=max(k_max + 1, m))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 The run walks a fixed pipeline: collect twin pairs, collect quad patterns,
 check controllability; if short, collect spine-run patterns and check again;
 if still short, walk the spine adding fallback vertices (an unloaded vertex
-right after a loaded one, in both orientations) until the set is
-controllable, then prune: walk vertices are dropped again, latest first,
-wherever the set stays controllable without them.  Leaders are chosen
-either one-per-critical-set ("per-set", the literal pipeline) or as a
-minimum hitting set over everything found so far ("hitting-set", the
+right after a loaded one, in both orientations) up to the first
+controllable prefix, found with `bisect` since controllability only grows
+with the leader set, then prune: walk vertices are dropped again, latest
+first, wherever the set stays controllable without them.  Every check goes
+through one local `controllable` routine, which asks about each leader set
+once per run, so step 5 re-checks only a set that step 4 changed.  Leaders
+are chosen either one-per-critical-set ("per-set", the literal pipeline) or
+as a minimum hitting set over everything found so far ("hitting-set", the
 default, which matches the minimal-leader counting).
 
 A run that ends controllable reports status "found"; exhausting the
@@ -17,6 +20,7 @@ rational oracle whenever the follower block is small enough.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import random
 from dataclasses import dataclass
@@ -65,12 +69,13 @@ class LeaderReport:
         return sorted(self.leaders)
 
 
-def step6_fallback_vertices(g: Graph, spine: list[int], profile: AttachmentProfile) -> list[int]:
+def step6_fallback_vertices(profile: AttachmentProfile) -> list[int]:
     """Spine vertices with no attachments directly after a loaded vertex.
 
     Both spine orientations are scanned; the union is returned in ascending
     spine position.
     """
+    spine = profile.spine
     length = len(spine)
     loads = [profile.load(i) for i in range(length)]
     picks = set()
@@ -83,21 +88,12 @@ def step6_fallback_vertices(g: Graph, spine: list[int], profile: AttachmentProfi
     return [spine[i] for i in sorted(picks)]
 
 
-def _first_true(pred, hi: int) -> int | None:
-    """Smallest k in 1..hi with pred(k), by bisection, or None if pred(hi) fails.
+def _first_true(pred, hi: int) -> int:
+    """Smallest k in 1..hi with pred(k), by bisection, or hi + 1 if there is none.
 
-    pred must be monotone (false, then true) with pred(0) false.
+    pred must be monotone (false, then true).
     """
-    if not pred(hi):
-        return None
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect.bisect_left(range(1, hi + 1), True, key=pred) + 1
 
 
 def run_csa(
@@ -125,8 +121,7 @@ def run_csa(
     """
     if mode not in ("per-set", "hitting-set"):
         raise GraphError(f"unknown mode {mode!r}")
-    spine = find_spine(g)
-    profile = attachment_profile(g, spine)  # rejects non-lobsters
+    profile = attachment_profile(g, find_spine(g))  # rejects non-lobsters
     rng = random.Random(seed) if seed is not None else None
 
     steps: list[CsaStep] = []
@@ -157,39 +152,38 @@ def run_csa(
         leaders.update(hit.chosen)
         steps.append(CsaStep(step_id, "hitting-set", (), tuple(sorted(leaders))))
 
-    def controllable_now() -> bool:
-        if not leaders:
-            return False  # empty leader set counts as uncontrollable
-        # borderline float verdicts escalate to the exact oracle internally
-        return controllable_certified(g, leaders).controllable
+    verdicts: dict[frozenset[int], bool] = {}  # each leader set is asked about once
+
+    def controllable(vertices) -> bool:
+        # An empty set counts as uncontrollable; borderline float verdicts
+        # escalate to the exact oracle inside controllable_certified.
+        key = frozenset(vertices)
+        if key not in verdicts:
+            verdicts[key] = bool(key) and controllable_certified(g, key).controllable
+        return verdicts[key]
 
     record(1, detect_twins(g))
     record(2, detect_quads(g))
     cover(3)
-    found = controllable_now()
+    found = controllable(leaders)
     if not found:
-        record(4, detect_spine_patterns(g, spine, profile))
+        record(4, detect_spine_patterns(g, profile))
         cover(5)
-        found = controllable_now()
-    fallback = step6_fallback_vertices(g, spine, profile) if enable_step6 and not found else []
+        found = controllable(leaders)
+    fallback = step6_fallback_vertices(profile) if enable_step6 and not found else []
     dropped: list[int] = []
     if fallback and strict_step6:
         leaders.update(fallback)
         steps.append(CsaStep(6, "fallback", tuple(fallback), tuple(fallback)))
-        found = controllable_now()
+        found = controllable(leaders)
     elif fallback:
         base = frozenset(leaders)
-
-        def prefix_controllable(k: int) -> bool:
-            return controllable_certified(g, base.union(fallback[:k])).controllable
-
         # The walk logs the same additions as a check after every addition.
-        k = _first_true(prefix_controllable, len(fallback))
-        found = k is not None
-        for v in fallback[: k or len(fallback)]:
+        k = _first_true(lambda j: controllable(base.union(fallback[:j])), len(fallback))
+        found = k <= len(fallback)
+        for v in fallback[:k]:
             leaders.add(v)
-            added = (v,)
-            steps.append(CsaStep(6, "fallback", added, added))
+            steps.append(CsaStep(6, "fallback", (v,), (v,)))
         if found:
             # Drop walk vertices, latest first, whenever the set stays
             # controllable without them.  The last addition is always kept
@@ -198,13 +192,11 @@ def run_csa(
             # of candidates whose joint removal keeps control, then keeps the
             # next one, so each kept vertex costs one bisection.
             candidates = [v for v in reversed(fallback[: k - 1]) if v not in base]
-
-            def needed(j: int) -> bool:
-                rest = leaders.difference(candidates[:j])
-                return not controllable_certified(g, rest).controllable
-
             while candidates:
-                stop = _first_true(needed, len(candidates)) or len(candidates) + 1
+                stop = _first_true(
+                    lambda j: not controllable(leaders.difference(candidates[:j])),
+                    len(candidates),
+                )
                 dropped.extend(candidates[: stop - 1])
                 leaders.difference_update(candidates[: stop - 1])
                 candidates = candidates[stop:]

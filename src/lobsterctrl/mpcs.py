@@ -36,6 +36,7 @@ from .spectral import (
     eigen_decompose,
     exists_support_exactly,
     vanishing_spaces,
+    vanishing_witness,
     _generic_witness,
 )
 
@@ -68,10 +69,10 @@ SPINE_EIGENVALUES = ((3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0)
 
 @dataclass(frozen=True, eq=False)
 class CriticalRecord:
-    """A vertex set tagged CS/PCS/MPCS with its witness eigenpair."""
+    """A vertex set tagged PCS or MPCS with its witness eigenpair."""
 
     vertices: frozenset[int]
-    kind: str  # "CS" | "PCS" | "MPCS"
+    kind: str  # "PCS" (brute-force support enumeration) | "MPCS"
     origin: str  # "twin" | "quad" | "spine8" | "spine4n" | "brute-force" | "spectral"
     witness: Witness | None
 
@@ -103,12 +104,7 @@ def is_critical(g: Graph, vertices) -> Witness | None:
     if not s:
         raise GraphError("critical-set query needs a nonempty vertex set")
     complement = [v for v in range(1, g.n + 1) if v not in s]
-    vanishing, _ = vanishing_spaces(graph_decomposition(g), complement)
-    if not vanishing:
-        return None
-    sp, coeffs = vanishing[0]
-    vec = sp.basis @ coeffs[:, 0]
-    return Witness(value=sp.value, vector=vec / np.max(np.abs(vec)))
+    return vanishing_witness(graph_decomposition(g), complement)[0]
 
 
 def is_perfect_critical(g: Graph, vertices) -> Witness | None:
@@ -138,10 +134,7 @@ def _mpcs_analysis(g: Graph, s: frozenset[int]) -> tuple[bool, list[Witness]]:
         scale = np.max(np.abs(vec))
         if any(abs(vec[r]) <= ZERO_TOL * scale for r in rows):
             return False, []
-        vec = vec / scale
-        if vec[rows[0]] < 0:
-            vec = -vec
-        witnesses.append(Witness(value=sp.value, vector=vec))
+        witnesses.append(Witness.scaled(sp.value, vec, positive_at=rows[0]))
     return bool(witnesses), witnesses
 
 
@@ -156,8 +149,8 @@ def is_mpcs(g: Graph, vertices) -> tuple[bool, Witness | None]:
 # ---------------------------------------------------------------------------
 
 
-def _achievable_supports(space: Eigenspace) -> dict[frozenset[int], np.ndarray]:
-    """All supports of eigenvectors in one eigenspace, with generic vectors.
+def _achievable_supports(space: Eigenspace) -> dict[frozenset[int], Witness]:
+    """All supports of eigenvectors in one eigenspace, with generic witnesses.
 
     Every zero pattern of a vector in a k-dimensional space is the common
     zero set of a generic vector in the annihilator of at most k-1 basis
@@ -166,7 +159,7 @@ def _achievable_supports(space: Eigenspace) -> dict[frozenset[int], np.ndarray]:
     """
     basis = space.basis
     n, k = basis.shape
-    out: dict[frozenset[int], np.ndarray] = {}
+    out: dict[frozenset[int], Witness] = {}
     for size in range(0, k):
         for combo in itertools.combinations(range(n), size):
             if size == 0:
@@ -185,11 +178,10 @@ def _achievable_supports(space: Eigenspace) -> dict[frozenset[int], np.ndarray]:
             support = frozenset(int(i) + 1 for i in np.nonzero(row_max > ZERO_TOL * scale)[0])
             if not support or support in out:
                 continue
-            vec = _generic_witness(span, [v - 1 for v in sorted(support)])
-            vec = vec / np.max(np.abs(vec))
-            if vec[min(support) - 1] < 0:
-                vec = -vec
-            out[support] = vec
+            rows = [v - 1 for v in sorted(support)]
+            out[support] = Witness.scaled(
+                space.value, _generic_witness(span, rows), positive_at=rows[0]
+            )
     return out
 
 
@@ -200,9 +192,8 @@ def enumerate_pcs_bruteforce(g: Graph) -> list[CriticalRecord]:
     decomp = graph_decomposition(g)
     found: dict[frozenset[int], Witness] = {}
     for sp in decomp.spaces:
-        for support, vec in _achievable_supports(sp).items():
-            if support not in found:
-                found[support] = Witness(value=sp.value, vector=vec)
+        for support, witness in _achievable_supports(sp).items():
+            found.setdefault(support, witness)
     records = [
         CriticalRecord(vertices=s, kind="PCS", origin="brute-force", witness=w)
         for s, w in found.items()
@@ -298,9 +289,7 @@ def detect_quads(g: Graph) -> list[CriticalRecord]:
     return records
 
 
-def detect_spine_patterns(
-    g: Graph, spine: list[int], profile: AttachmentProfile
-) -> list[CriticalRecord]:
+def detect_spine_patterns(g: Graph, profile: AttachmentProfile) -> list[CriticalRecord]:
     """Spine-run MPCS candidates of size 8, 12, 16, ...
 
     Layout per candidate: a flank spine vertex outside the set contributing
@@ -317,6 +306,7 @@ def detect_spine_patterns(
         s1[0] if p1 == 1 and p2 == 0 else None
         for p1, p2, s1 in zip(profile.p1, profile.p2, profile.s1)
     ]
+    spine = profile.spine
     records: list[CriticalRecord] = []
     for left in range(len(spine)):
         left_paths = _pendant_two_paths(g, spine[left])

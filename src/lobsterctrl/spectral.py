@@ -6,7 +6,9 @@ merged into one eigenspace whose basis is re-orthonormalized.  On top of the
 decomposition sits one query, `vanishing_spaces`: which eigenvectors vanish
 on a given vertex set.  The controllability test (none vanishes on the
 leaders), the critical-set predicates (some vanishes off the set) and the
-exact-support witness search below all read it.
+exact-support witness search below all read it.  `vanishing_witness`
+returns its first answer in value order as a unit max-norm `Witness`; both
+the controllability test and `mpcs.is_critical` report that one.
 
 Zero / nonzero decisions on eigenvector entries are tolerance-based; exact
 claims are re-checked elsewhere by the rational controllability oracle.
@@ -28,6 +30,7 @@ __all__ = [
     "eigen_decompose",
     "vanishing_subspace",
     "vanishing_spaces",
+    "vanishing_witness",
     "exists_support_exactly",
     "GROUP_TOL",
     "ZERO_TOL",
@@ -101,6 +104,14 @@ class Witness:
 
     value: float
     vector: np.ndarray
+
+    @classmethod
+    def scaled(cls, value: float, vector: np.ndarray, positive_at: int | None = None) -> "Witness":
+        """Witness scaled to unit max-norm, and positive at row positive_at if given."""
+        vector = vector / np.max(np.abs(vector))
+        if positive_at is not None and vector[positive_at] < 0:
+            vector = -vector
+        return cls(value=value, vector=vector)
 
 
 def _fingerprint(mat: np.ndarray) -> str:
@@ -212,6 +223,18 @@ def vanishing_spaces(
     return [(decomp.spaces[i], found[i]) for i in sorted(found)], margin
 
 
+def vanishing_witness(decomp: SpectralDecomposition, zero_on) -> tuple[Witness | None, float]:
+    """Unit max-norm witness of the first eigenvector vanishing on zero_on, or None.
+
+    Eigenvectors are taken in value order; the margin is that of `vanishing_spaces`.
+    """
+    vanishing, margin = vanishing_spaces(decomp, zero_on)
+    if not vanishing:
+        return None, margin
+    sp, coeffs = vanishing[0]
+    return Witness.scaled(sp.value, sp.basis @ coeffs[:, 0]), margin
+
+
 # Deterministic generic-combination weights: powers of 3, then seeded redraws.
 _REDRAW_SEED = 0x5EED
 _MAX_REDRAWS = 8
@@ -256,9 +279,5 @@ def exists_support_exactly(decomp: SpectralDecomposition, support) -> Witness | 
         span_scale = np.max(np.abs(span))
         if any(np.max(np.abs(span[r, :])) <= ZERO_TOL * span_scale for r in rows):
             continue  # that vertex is forced to zero in this eigenspace
-        y = _generic_witness(span, rows)
-        y = y / np.max(np.abs(y))
-        if y[rows[0]] < 0:
-            y = -y
-        return Witness(value=sp.value, vector=y)
+        return Witness.scaled(sp.value, _generic_witness(span, rows), positive_at=rows[0])
     return None

@@ -114,11 +114,10 @@ class TestMpcs:
         if not g.is_tree():
             return records
         try:
-            spine = find_spine(g)
-            profile = attachment_profile(g, spine)
+            profile = attachment_profile(g, find_spine(g))
         except GraphError:
             return records  # not a lobster: twins only
-        return records + detect_quads(g) + detect_spine_patterns(g, spine, profile)
+        return records + detect_quads(g) + detect_spine_patterns(g, profile)
 
     def test_detect_json_is_sorted_detector_union(self, tmp_path, capsys):
         spider = Graph.from_edges(  # three legs of length 3: a tree, not a lobster

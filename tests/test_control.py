@@ -207,10 +207,14 @@ class TestMinLeaderBruteforce:
         for g, k_max in cases:
             assert g.n <= 14
             result = min_leader_bruteforce(g, k_max)
-            got = (result.k_min, result.count, result.sets, result.lower_bound)
-            assert got == min_leader_by_levels(g, k_max), sorted(g.edges)
-            starts.append(_eigenvalue_one_multiplicity(g))
+            k_min, count, sets, lower_bound = min_leader_by_levels(g, k_max)
+            assert (result.k_min, result.count, result.sets) == (k_min, count, sets), sorted(g.edges)
+            # the exact multiplicity m raises the bound of a search that finds nothing
+            m = _eigenvalue_one_multiplicity(g)
+            assert result.lower_bound == max(lower_bound, m), sorted(g.edges)
+            starts.append(m)
         assert max(starts) > 1
+        assert min_leader_bruteforce(star(7, 1), 3).lower_bound == 5  # not k_max + 1 = 4
 
     def test_skips_levels_below_multiplicity(self, monkeypatch):
         # K1,6: eigenvalue 1 has multiplicity 5, so only the C(7, 5) sets of

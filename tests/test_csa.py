@@ -1,8 +1,11 @@
 import json
 import random
+import sys
 
 import pytest
 
+import lobsterctrl.control
+import lobsterctrl.csa
 from lobsterctrl.control import kalman_controllable_exact, min_leader_bruteforce
 from lobsterctrl.csa import report_to_json, run_csa, step6_fallback_vertices
 from lobsterctrl.graph import (
@@ -74,21 +77,17 @@ class TestDeterminism:
 class TestStepSix:
     def test_fallback_vertices_both_orientations(self):
         g = build_lobster(LobsterSpec.make(5, [(), (1,), (), (), ()]))
-        spine = find_spine(g)
-        profile = attachment_profile(g, spine)
-        assert step6_fallback_vertices(g, spine, profile) == [1, 3]
+        assert step6_fallback_vertices(attachment_profile(g, find_spine(g))) == [1, 3]
 
     def test_fully_loaded_interior_leaves_only_ends(self):
         # ends of a longest path are leaves and can never carry attachments,
         # so a maximally loaded lobster still exposes exactly the two ends
         g = build_lobster(LobsterSpec.make(6, [(), (1,), (1,), (1,), (1,), ()]))
         spine = find_spine(g)
-        profile = attachment_profile(g, spine)
-        assert step6_fallback_vertices(g, spine, profile) == [spine[0], spine[-1]]
+        assert step6_fallback_vertices(attachment_profile(g, spine)) == [spine[0], spine[-1]]
 
     def test_bare_path_has_none(self, p5):
-        profile = attachment_profile(p5, [1, 2, 3, 4, 5])
-        assert step6_fallback_vertices(p5, [1, 2, 3, 4, 5], profile) == []
+        assert step6_fallback_vertices(attachment_profile(p5, [1, 2, 3, 4, 5])) == []
 
     def test_ablation_only_weakens(self):
         rng = random.Random(5)
@@ -157,6 +156,48 @@ class TestFallbackPrune:
                 continue
             assert len(report.leaders) == min_leader_bruteforce(g, len(report.leaders)).k_min
             checked += 1
+
+
+class TestChecksAskedOnce:
+    def test_no_leader_set_is_checked_twice(self, monkeypatch):
+        original = lobsterctrl.control.controllable_certified
+        calls: list[frozenset[int]] = []
+
+        def counting(g, leaders):
+            calls.append(frozenset(leaders))
+            return original(g, leaders)
+
+        # Patch every package namespace that holds the function, so no
+        # check can bypass the count.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lobsterctrl") and getattr(
+                module, "controllable_certified", None
+            ) is original:
+                monkeypatch.setattr(module, "controllable_certified", counting)
+        fallback = lobsterctrl.csa.step6_fallback_vertices
+        checks_before_step6: list[int] = []
+
+        def marking(*args):
+            checks_before_step6.append(len(calls))
+            return fallback(*args)
+
+        monkeypatch.setattr(lobsterctrl.csa, "step6_fallback_vertices", marking)
+        rng = random.Random(16)
+        no_spine_run = 0
+        for _ in range(30):
+            g = build_lobster(random_lobster(rng.randint(10, 160), seed=rng.randrange(10**6)))
+            for mode in ("hitting-set", "per-set"):
+                calls.clear()
+                checks_before_step6.clear()
+                report = run_csa(g, mode=mode)
+                assert len(calls) == len(set(calls)), (mode, sorted(g.edges))
+                early = [s.step for s in report.steps if s.step < 6]
+                if checks_before_step6 and early and 4 not in early:
+                    # steps 1-2 chose leaders, step 3 rejected them and step 4
+                    # found no spine run: step 5 must not ask again
+                    assert checks_before_step6 == [1], (mode, sorted(g.edges))
+                    no_spine_run += 1
+        assert no_spine_run >= 5
 
 
 class TestReportContracts:

@@ -70,7 +70,7 @@ def golden_outputs(spine_len: int, seed: int) -> list[str]:
         report_to_json(report),
         catalog_to_json(detect_twins(g)),
         catalog_to_json(detect_quads(g)),
-        catalog_to_json(detect_spine_patterns(g, spine, profile)),
+        catalog_to_json(detect_spine_patterns(g, profile)),
     ]
     out = [json.dumps(_canonical(json.loads(t))) for t in texts]
     short = report.sorted_leaders()[1:]

@@ -246,8 +246,7 @@ class TestDetectSpinePatterns:
 
     def test_minimal_eight_pattern(self):
         g = self.build_eight_fixture()
-        spine = find_spine(g)
-        pats = detect_spine_patterns(g, spine, attachment_profile(g, spine))
+        pats = detect_spine_patterns(g, attachment_profile(g, find_spine(g)))
         assert len(pats) == 1
         rec = pats[0]
         assert rec.vertices == frozenset({2, 3, 5, 6, 7, 8, 9, 10})
@@ -260,8 +259,7 @@ class TestDetectSpinePatterns:
         # same pattern embedded strictly inside a longer spine
         spec = LobsterSpec.make(8, [(), (), (2,), (1,), (1,), (2,), (), ()])
         g = build_lobster(spec)
-        spine = find_spine(g)
-        pats = detect_spine_patterns(g, spine, attachment_profile(g, spine))
+        pats = detect_spine_patterns(g, attachment_profile(g, find_spine(g)))
         assert any(
             rec.vertices == frozenset({9, 10, 4, 11, 5, 12, 13, 14}) for rec in pats
         )
@@ -273,8 +271,7 @@ class TestDetectSpinePatterns:
             11, [(), (), (2,), (1,), (1,), (), (1,), (1,), (2,), (), ()]
         )
         g = build_lobster(spec)
-        spine = find_spine(g)
-        pats = detect_spine_patterns(g, spine, attachment_profile(g, spine))
+        pats = detect_spine_patterns(g, attachment_profile(g, find_spine(g)))
         sizes = {len(r.vertices) for r in pats}
         assert 12 in sizes
         twelve = next(r for r in pats if len(r.vertices) == 12)
@@ -283,13 +280,11 @@ class TestDetectSpinePatterns:
 
     def test_caterpillar_without_two_paths_empty(self):
         g = build_lobster(LobsterSpec.make(7, [(), (1,), (1,), (), (1, 1), (), ()]))
-        spine = find_spine(g)
-        assert detect_spine_patterns(g, spine, attachment_profile(g, spine)) == []
+        assert detect_spine_patterns(g, attachment_profile(g, find_spine(g))) == []
 
     def test_quad_only_lobster_empty(self):
         g = build_lobster(LobsterSpec.make(7, [(), (), (2,), (), (2,), (), ()]))
-        spine = find_spine(g)
-        assert detect_spine_patterns(g, spine, attachment_profile(g, spine)) == []
+        assert detect_spine_patterns(g, attachment_profile(g, find_spine(g))) == []
 
     def test_catalog_independent_of_spine_orientation(self):
         # The run layout is mirror-symmetric, so one scan must find what a
@@ -315,9 +310,8 @@ class TestDetectSpinePatterns:
         for spec in specs:
             g = build_lobster(spec)
             spine = find_spine(g)
-            records = detect_spine_patterns(g, spine, attachment_profile(g, spine))
-            back = spine[::-1]
-            mirrored = detect_spine_patterns(g, back, attachment_profile(g, back))
+            records = detect_spine_patterns(g, attachment_profile(g, spine))
+            mirrored = detect_spine_patterns(g, attachment_profile(g, spine[::-1]))
             assert catalog_to_json(mirrored) == catalog_to_json(records), spec
             origins.update(r.origin for r in records)
             end_flank |= any({spine[0], spine[-1]} & r.vertices for r in records)
@@ -366,10 +360,8 @@ class TestVerifyMpcs:
                 module, "enumerate_pcs_bruteforce", None
             ) is original:
                 monkeypatch.setattr(module, "enumerate_pcs_bruteforce", counting)
-        spine = find_spine(g)
-        profile = attachment_profile(g, spine)
         detect_twins(g)
-        assert detect_quads(g) and detect_spine_patterns(g, spine, profile)
+        assert detect_quads(g) and detect_spine_patterns(g, attachment_profile(g, find_spine(g)))
         assert run_csa(g).status == "found"
         assert calls == []
 
@@ -431,13 +423,8 @@ class TestStructuralProperties:
             for pattern in itertools.product(configs, repeat=4)
         ]
         for g in lobsters:
-            spine = find_spine(g)
-            profile = attachment_profile(g, spine)
-            records = (
-                detect_twins(g)
-                + detect_quads(g)
-                + detect_spine_patterns(g, spine, profile)
-            )
+            profile = attachment_profile(g, find_spine(g))
+            records = detect_twins(g) + detect_quads(g) + detect_spine_patterns(g, profile)
             catalog = enumerate_mpcs_bruteforce(g).vertex_sets() if g.n <= 16 else None
             for rec in records:
                 ok, _ = verify_mpcs(g, rec.vertices, rec.origin)
