@@ -8,7 +8,6 @@ from .control import (
     ControllabilityVerdict,
     controllable_certified,
     HittingSetResult,
-    LeaderSet,
     MinLeaderResult,
     count_to_probability,
     kalman_controllable_exact,

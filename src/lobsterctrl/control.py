@@ -9,9 +9,10 @@ dynamics of a connected graph:
 * an exact rational Kalman rank, computed by fraction-free elimination on
   big integers with no tolerances anywhere.
 
-The exact route is the ground truth; the float route is the fast default.
-Disagreement between the two on any input is treated as a bug, never
-masked by loosening tolerances.
+Both routes take the leader ids through `Graph.vertex_set`, so an empty
+set or an id outside 1..n is refused alike.  The exact route is the ground
+truth; the float route is the fast default.  Disagreement between the two
+on any input is treated as a bug, never masked by loosening tolerances.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .mpcs import graph_decomposition
 from .spectral import RANK_TOL, Witness, vanishing_witness
 
 __all__ = [
-    "LeaderSet",
     "ControllabilityVerdict",
     "MinLeaderResult",
     "HittingSetResult",
@@ -45,38 +45,12 @@ LIST_CAP = 10_000
 COUNT_ENUM_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class LeaderSet:
-    """Nonempty set of driver vertices."""
-
-    vertices: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.vertices:
-            raise GraphError("leader set must be nonempty")
-
-    @classmethod
-    def of(cls, vertices) -> "LeaderSet":
-        return cls(frozenset(int(v) for v in vertices))
-
-    def sorted(self) -> list[int]:
-        return sorted(self.vertices)
-
-
 @dataclass(frozen=True, eq=False)
 class ControllabilityVerdict:
     controllable: bool
     method: str  # "pbh-float" | "kalman-exact"
     witness: Witness | None = None  # eigenvector vanishing on all leaders
     rank: int | None = None  # Kalman rank when method is exact
-
-
-def _as_leader_set(leaders, n: int) -> LeaderSet:
-    ls = leaders if isinstance(leaders, LeaderSet) else LeaderSet.of(leaders)
-    bad = [v for v in ls.vertices if not (1 <= v <= n)]
-    if bad:
-        raise GraphError(f"leader vertices out of range: {sorted(bad)}")
-    return ls
 
 
 BORDERLINE_WIDENING = 10.0  # singular values this close to the cut escalate
@@ -93,8 +67,7 @@ def _pbh_verdict(g: Graph, leaders) -> tuple[ControllabilityVerdict, bool]:
     """
     if not g.is_connected:
         raise GraphError("controllability test requires a connected graph")
-    ls = _as_leader_set(leaders, g.n)
-    witness, margin = vanishing_witness(graph_decomposition(g), ls.vertices)
+    witness, margin = vanishing_witness(graph_decomposition(g), g.vertex_set(leaders))
     if witness is not None:
         verdict = ControllabilityVerdict(controllable=False, method="pbh-float", witness=witness)
         return verdict, False
@@ -187,8 +160,8 @@ def kalman_controllable_exact(g: Graph, leaders) -> ControllabilityVerdict:
     """
     if not g.is_connected:
         raise GraphError("controllability test requires a connected graph")
-    ls = _as_leader_set(leaders, g.n)
-    followers = [v for v in range(1, g.n + 1) if v not in ls.vertices]
+    leaders = g.vertex_set(leaders)
+    followers = [v for v in range(1, g.n + 1) if v not in leaders]
     if not followers:
         return ControllabilityVerdict(controllable=True, method="kalman-exact", rank=0)
     index = {v: i for i, v in enumerate(followers)}
@@ -210,7 +183,7 @@ def kalman_controllable_exact(g: Graph, leaders) -> ControllabilityVerdict:
 
     echelon = _IntegerEchelon(n_f)
     frontier: list[list[int]] = []
-    for w in ls.sorted():
+    for w in sorted(leaders):
         col = [-1 if w in g.adjacency[v] else 0 for v in followers]
         reduced = echelon.insert(col)
         if reduced is not None:
@@ -262,10 +235,13 @@ def min_leader_bruteforce(g: Graph, k_max: int) -> MinLeaderResult:
     multiplicity m of eigenvalue 1: fewer than m leaders leave a nonzero
     eigenvector of that eigenspace vanishing on all of them, so no smaller
     set is controllable, and a search that finds nothing up to k_max
-    reports the lower bound max(k_max + 1, m).  Capped at n <= 25 vertices.
+    reports the lower bound max(k_max + 1, m).  Capped at n <= 25 vertices;
+    k_max must be at least 0.
     """
     if g.n > BRUTEFORCE_N_CAP:
         raise GraphError(f"brute-force leader search capped at n={BRUTEFORCE_N_CAP}")
+    if k_max < 0:
+        raise GraphError(f"leader-set size bound must be >= 0, got {k_max}")
     if not g.is_connected:
         raise GraphError("brute-force leader search requires a connected graph")
     k_max = min(k_max, g.n)

@@ -106,19 +106,19 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
+    def vertex_set(self, vertices) -> frozenset[int]:
+        """The given ids as a frozenset, checked to be nonempty and within 1..n."""
+        s = frozenset(int(v) for v in vertices)
+        if not s:
+            raise GraphError("vertex set must be nonempty")
+        bad = sorted(v for v in s if not 1 <= v <= self.n)
+        if bad:
+            raise GraphError(f"vertices out of range 1..{self.n}: {bad}")
+        return s
+
     @cached_property
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return len(self.bfs_distances(1)) == self.n
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected
@@ -386,7 +386,14 @@ def parse_lobster_spec(text: str) -> LobsterSpec:
         raise GraphError(f"invalid lobster JSON: {exc}") from exc
     if not isinstance(obj, dict) or "spine_len" not in obj or "attach" not in obj:
         raise GraphError('lobster JSON must be an object with "spine_len" and "attach"')
-    return LobsterSpec.make(int(obj["spine_len"]), obj["attach"])
+    try:
+        spine_len = _json_int(obj["spine_len"])
+        attach = [[_json_int(length) for length in entry] for entry in obj["attach"]]
+    except (TypeError, ValueError) as exc:
+        raise GraphError(
+            f'lobster JSON needs an integer "spine_len" and lists of integer path lengths: {exc}'
+        ) from exc
+    return LobsterSpec.make(spine_len, attach)
 
 
 def serialize_lobster_spec(spec: LobsterSpec) -> str:

@@ -10,7 +10,10 @@ selection.
 The module provides the predicates, three structural detectors for
 lobsters (twin pairs, quads made of two pendant 2-paths at a common vertex,
 and spine-run patterns of size 8, 12, 16, ... whose eigenvalues are the
-roots of (x - 1)(x - 2) = 1), and a complete brute-force catalog.  Detectors
+roots of (x - 1)(x - 2) = 1), and a complete brute-force catalog.  The
+predicates check their vertex set with `Graph.vertex_set`, as the
+controllability tests do, and read eigenvector supports through
+`spectral.vanishing_witness` and `spectral.spans_inside`.  Detectors
 generate candidates; the spectral verifier is the authority on what gets
 emitted.  The brute-force catalog is exponential and capped at small n: it
 is the reference for ``lobster-ctrl mpcs --brute`` and the tests, and no
@@ -35,7 +38,7 @@ from .spectral import (
     Witness,
     eigen_decompose,
     exists_support_exactly,
-    vanishing_spaces,
+    spans_inside,
     vanishing_witness,
     _generic_witness,
 )
@@ -100,42 +103,14 @@ def graph_decomposition(g: Graph) -> SpectralDecomposition:
 
 def is_critical(g: Graph, vertices) -> Witness | None:
     """Witness eigenvector supported inside the given set, or None."""
-    s = frozenset(vertices)
-    if not s:
-        raise GraphError("critical-set query needs a nonempty vertex set")
+    s = g.vertex_set(vertices)
     complement = [v for v in range(1, g.n + 1) if v not in s]
     return vanishing_witness(graph_decomposition(g), complement)[0]
 
 
 def is_perfect_critical(g: Graph, vertices) -> Witness | None:
     """Witness eigenvector supported on exactly the given set, or None."""
-    s = frozenset(vertices)
-    if not s:
-        raise GraphError("critical-set query needs a nonempty vertex set")
-    return exists_support_exactly(graph_decomposition(g), s)
-
-
-def _mpcs_analysis(g: Graph, s: frozenset[int]) -> tuple[bool, list[Witness]]:
-    """Decide MPCS-ness and collect the per-eigenspace witnesses.
-
-    The set is an MPCS iff every eigenspace's inside-S subspace is at most
-    one-dimensional with no zero entry on S, and at least one such subspace
-    exists.  (A 2-dimensional subspace always contains a vector vanishing at
-    any chosen vertex of S, and a vector with a zero on S has a proper subset
-    of S as its support; either way some proper subset is a PCS.)
-    """
-    complement = [v for v in range(1, g.n + 1) if v not in s]
-    rows = [v - 1 for v in sorted(s)]
-    witnesses: list[Witness] = []
-    for sp, coeffs in vanishing_spaces(graph_decomposition(g), complement)[0]:
-        if coeffs.shape[1] >= 2:
-            return False, []
-        vec = sp.basis @ coeffs[:, 0]
-        scale = np.max(np.abs(vec))
-        if any(abs(vec[r]) <= ZERO_TOL * scale for r in rows):
-            return False, []
-        witnesses.append(Witness.scaled(sp.value, vec, positive_at=rows[0]))
-    return bool(witnesses), witnesses
+    return exists_support_exactly(graph_decomposition(g), g.vertex_set(vertices))
 
 
 def is_mpcs(g: Graph, vertices) -> tuple[bool, Witness | None]:
@@ -339,16 +314,24 @@ def verify_mpcs(
 ) -> tuple[bool, CriticalRecord | None]:
     """Certify a candidate MPCS and build its record.
 
-    When expected_values is given, the witness eigenvalue must match one of
-    them within 1e-8.  The verdict is spectral at every size; the brute-force
-    catalog, a small-n reference for ``mpcs --brute`` and the tests, is never
-    consulted.
+    The ids pass `Graph.vertex_set`.  The set is an MPCS iff every entry of
+    `spans_inside` is one column wide and `full`, and there is at least one
+    entry.  (A 2-dimensional span always holds a vector vanishing at any
+    chosen vertex of the set, and a vector with a zero on the set has a
+    proper subset as its support; either way some proper subset is a PCS.)
+    When expected_values is given, the witness eigenvalue must also match
+    one of them within 1e-8.  The verdict is spectral at every size; the
+    brute-force catalog, a small-n reference for ``mpcs --brute`` and the
+    tests, is never consulted.
     """
-    s = frozenset(vertices)
-    if not s:
-        raise GraphError("critical-set query needs a nonempty vertex set")
-    ok, witnesses = _mpcs_analysis(g, s)
-    if not ok:
+    s = g.vertex_set(vertices)
+    first = min(s) - 1
+    witnesses: list[Witness] = []
+    for sp, span, full in spans_inside(graph_decomposition(g), s):
+        if span.shape[1] > 1 or not full:
+            return False, None
+        witnesses.append(Witness.scaled(sp.value, span[:, 0], positive_at=first))
+    if not witnesses:
         return False, None
     if expected_values is not None:
         witnesses = [

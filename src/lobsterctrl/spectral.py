@@ -5,10 +5,13 @@ separated, so near-equal values (within a relative grouping tolerance) are
 merged into one eigenspace whose basis is re-orthonormalized.  On top of the
 decomposition sits one query, `vanishing_spaces`: which eigenvectors vanish
 on a given vertex set.  The controllability test (none vanishes on the
-leaders), the critical-set predicates (some vanishes off the set) and the
-exact-support witness search below all read it.  `vanishing_witness`
-returns its first answer in value order as a unit max-norm `Witness`; both
-the controllability test and `mpcs.is_critical` report that one.
+leaders) and the critical-set predicates (some vanishes off the set) both
+read it.  `vanishing_witness` returns its first answer in value order as a
+unit max-norm `Witness`; both the controllability test and
+`mpcs.is_critical` report that one.  `spans_inside` holds the one support
+rule: per eigenspace, the span of the eigenvectors supported inside a set
+and whether any vertex of the set is zero across it.  The exact-support
+witness search and `mpcs.verify_mpcs` both decide by it.
 
 Zero / nonzero decisions on eigenvector entries are tolerance-based; exact
 claims are re-checked elsewhere by the rational controllability oracle.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +35,7 @@ __all__ = [
     "vanishing_subspace",
     "vanishing_spaces",
     "vanishing_witness",
+    "spans_inside",
     "exists_support_exactly",
     "GROUP_TOL",
     "ZERO_TOL",
@@ -261,23 +266,41 @@ def _generic_witness(span: np.ndarray, support_rows: list[int]) -> np.ndarray:
     raise RuntimeError("failed to build a generic support witness after seeded redraws")
 
 
+def spans_inside(
+    decomp: SpectralDecomposition, support
+) -> Iterator[tuple[Eigenspace, np.ndarray, bool]]:
+    """Eigenvectors supported inside a vertex set, one eigenspace at a time.
+
+    Yields (eigenspace, span, full) in increasing eigenvalue order for each
+    eigenspace holding a nonzero eigenvector that vanishes off the support:
+    `span` is n x d with orthonormal columns spanning those eigenvectors
+    (the `vanishing_spaces` basis on the complement), and `full` says that no
+    support vertex is zero across the whole span, each entry judged against
+    ZERO_TOL times the span's max-norm.
+    """
+    support = sorted(set(support))
+    rows = [v - 1 for v in support]
+    complement = set(range(1, decomp.n + 1)).difference(support)
+    for sp, coeffs in vanishing_spaces(decomp, complement)[0]:
+        span = sp.basis @ coeffs
+        cut = ZERO_TOL * np.max(np.abs(span))
+        yield sp, span, all(np.max(np.abs(span[r, :])) > cut for r in rows)
+
+
 def exists_support_exactly(decomp: SpectralDecomposition, support) -> Witness | None:
     """Witness eigenpair whose support is exactly the given vertex set, or None.
 
-    Per eigenspace with vectors vanishing off the support (`vanishing_spaces`):
-    skip if some support vertex is identically zero across that subspace;
-    otherwise a generic combination is nonzero everywhere on the support and
-    is returned (normalized to unit max-norm, first support entry positive).
+    Takes the first `full` entry of `spans_inside`, in value order: a generic
+    combination of its span is nonzero everywhere on the support and is
+    returned, normalized to unit max-norm with the first support entry
+    positive.  `mpcs.is_perfect_critical` passes the set through
+    `Graph.vertex_set` first; here an empty set is refused.
     """
     support = sorted(set(support))
     if not support:
         raise ValueError("support set must be nonempty")
-    complement = set(range(1, decomp.n + 1)).difference(support)
     rows = [v - 1 for v in support]
-    for sp, coeffs in vanishing_spaces(decomp, complement)[0]:
-        span = sp.basis @ coeffs  # n x d orthonormal columns, zero off the support
-        span_scale = np.max(np.abs(span))
-        if any(np.max(np.abs(span[r, :])) <= ZERO_TOL * span_scale for r in rows):
-            continue  # that vertex is forced to zero in this eigenspace
-        return Witness.scaled(sp.value, _generic_witness(span, rows), positive_at=rows[0])
+    for sp, span, full in spans_inside(decomp, support):
+        if full:
+            return Witness.scaled(sp.value, _generic_witness(span, rows), positive_at=rows[0])
     return None

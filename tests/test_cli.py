@@ -196,6 +196,10 @@ class TestLeaders:
         path.write_text(json.dumps({"n": 30, "edges": [[i, i + 1] for i in range(1, 30)]}))
         assert main(["leaders", str(path), "--kmax", "2"]) == 2
 
+    def test_negative_kmax_usage_error(self, fig_file, capsys):
+        assert main(["leaders", fig_file, "--kmax", "-2"]) == 2
+        assert "no controllable leader set" not in capsys.readouterr().out
+
 
 class TestExperiment:
     def write_config(self, tmp_path, **overrides):

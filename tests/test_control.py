@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import lobsterctrl.control
 from lobsterctrl.control import (
-    LeaderSet,
     _eigenvalue_one_multiplicity,
     controllable_certified,
     count_to_probability,
@@ -195,6 +194,13 @@ class TestMinLeaderBruteforce:
         with pytest.raises(GraphError, match="capped"):
             min_leader_bruteforce(g, 2)
 
+    def test_size_bound_zero_allowed_negative_refused(self, p5):
+        # a CSA run that gave up with no leaders asks for k_max = 0
+        result = min_leader_bruteforce(p5, 0)
+        assert result.k_min is None and result.lower_bound == 1
+        with pytest.raises(GraphError, match=">= 0"):
+            min_leader_bruteforce(p5, -2)
+
     def test_matches_search_from_one(self):
         configs = [c for c in BASE_CONFIGS if sum(c) <= 2]
         patterns = list(itertools.product(configs, repeat=4))[::8]
@@ -319,12 +325,3 @@ class TestCountToProbability:
     def test_rejects_count_above_total(self):
         with pytest.raises(GraphError):
             count_to_probability(100, 4, 2)
-
-
-class TestLeaderSetType:
-    def test_rejects_empty(self):
-        with pytest.raises(GraphError):
-            LeaderSet.of([])
-
-    def test_sorted(self):
-        assert LeaderSet.of([3, 1, 2]).sorted() == [1, 2, 3]

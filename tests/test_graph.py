@@ -239,6 +239,19 @@ class TestSerialization:
         spec = random_lobster(8, seed=2)
         assert parse_lobster_spec(serialize_lobster_spec(spec)) == spec
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"spine_len": 5.7, "attach": [[], [], [], [], []]}',
+            '{"spine_len": 3, "attach": [[], [true], []]}',
+            '{"spine_len": 3, "attach": [[], [1.0], []]}',
+            '{"spine_len": 3, "attach": [[], 1, []]}',
+        ],
+    )
+    def test_lobster_spec_rejects_non_integers(self, text):
+        with pytest.raises(GraphError):
+            parse_lobster_spec(text)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_round_trip_random_graphs(self, seed):

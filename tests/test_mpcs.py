@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lobsterctrl.mpcs
-from lobsterctrl.control import kalman_controllable_exact
+from lobsterctrl.control import kalman_controllable_exact, pbh_controllable
 from lobsterctrl.csa import run_csa
 from lobsterctrl.graph import (
     BASE_CONFIGS,
@@ -37,7 +37,7 @@ from lobsterctrl.mpcs import (
     verify_mpcs,
 )
 
-from .conftest import random_connected_graph, random_tree
+from .conftest import path_graph, random_connected_graph, random_tree
 
 GOLDEN = (math.sqrt(5) + 1) / 2  # tip-to-inner amplitude ratio of quad witnesses
 
@@ -88,6 +88,24 @@ class TestPredicates:
     def test_p5_quad_support(self, p5):
         ok, w = is_mpcs(p5, {1, 2, 4, 5})
         assert ok and abs(w.value - QUAD_EIGENVALUE) <= 1e-9
+
+    @pytest.mark.parametrize("vertices", [{0, 1, 2, 3, 4}, {99}, {1, 2, 3, 4, 99}, set()])
+    def test_predicates_reject_bad_vertex_sets(self, vertices):
+        # The critical-set predicates check ids as the controllability tests do.
+        p4 = path_graph(4)
+        with pytest.raises(GraphError):
+            is_critical(p4, vertices)
+        with pytest.raises(GraphError):
+            is_perfect_critical(p4, vertices)
+        with pytest.raises(GraphError):
+            is_mpcs(p4, vertices)
+        with pytest.raises(GraphError):
+            verify_mpcs(p4, vertices, origin="spectral")
+        if vertices == {99}:
+            with pytest.raises(GraphError):
+                pbh_controllable(p4, vertices)
+            with pytest.raises(GraphError):
+                kalman_controllable_exact(p4, vertices)
 
 
 class TestBruteforceEnumeration:
