@@ -22,6 +22,7 @@ from .csa import report_to_json, run_csa
 from .graph import (
     Graph,
     GraphError,
+    _json_int,
     attachment_profile,
     build_lobster,
     find_spine,
@@ -58,6 +59,13 @@ def _parse_leaders(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise GraphError(f"bad leader list {text!r}: {exc}") from exc
+
+
+def _json_number(value) -> float:
+    """A number read from config JSON; booleans and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def cmd_gen(args) -> int:
@@ -202,12 +210,14 @@ def cmd_experiment(args) -> int:
         raise GraphError(f"malformed config {args.config}: {exc}") from exc
     try:
         cfg = experiments.SweepConfig(
-            n_values=tuple(int(x) for x in raw["n_values"]),
-            trials=int(raw["trials"]),
-            base_seed=int(raw["base_seed"]),
+            n_values=tuple(_json_int(x) for x in raw["n_values"]),
+            trials=_json_int(raw["trials"]),
+            base_seed=_json_int(raw["base_seed"]),
             mode=raw.get("mode", "hitting-set"),
-            max_load=int(raw.get("max_load", 2)),
-            audit_fraction=float(raw.get("audit_fraction", experiments.DEFAULT_AUDIT_FRACTION)),
+            max_load=_json_int(raw.get("max_load", 2)),
+            audit_fraction=_json_number(
+                raw.get("audit_fraction", experiments.DEFAULT_AUDIT_FRACTION)
+            ),
             jobs=args.jobs,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--mode", choices=("hitting-set", "per-set"), default="hitting-set")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--strict-step6", action="store_true", help="add all fallbacks, check once")
+    p.add_argument("--strict-step6", action="store_true", help="add all fallbacks, skip the prune")
     p.add_argument("--no-step6", action="store_true", help="ablation: skip the fallback step")
     p.set_defaults(func=cmd_csa)
 

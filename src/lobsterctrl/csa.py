@@ -2,16 +2,16 @@
 
 The run walks a fixed pipeline: collect twin pairs, collect quad patterns,
 check controllability; if short, collect spine-run patterns and check again;
-if still short, walk the spine adding fallback vertices (an unloaded vertex
-right after a loaded one, in both orientations) up to the first
-controllable prefix, found with `bisect` since controllability only grows
-with the leader set, then prune: walk vertices are dropped again, latest
-first, wherever the set stays controllable without them.  Every check goes
-through one local `controllable` routine, which asks about each leader set
-once per run, so step 5 re-checks only a set that step 4 changed.  Leaders
-are chosen either one-per-critical-set ("per-set", the literal pipeline) or
-as a minimum hitting set over everything found so far ("hitting-set", the
-default, which matches the minimal-leader counting).
+if still short, add every fallback vertex (an unloaded spine vertex next to
+a loaded one, or one end of a bare path) and check once more, then prune:
+fallback vertices are dropped again, latest first, wherever the set stays
+controllable without them, found with `bisect` since controllability only
+grows with the leader set.  Every check goes through one local
+`controllable` routine, which asks about each leader set once per run, so
+step 5 re-checks only a set that step 4 changed.  Leaders are chosen either
+one-per-critical-set ("per-set", the literal pipeline) or as a minimum
+hitting set over everything found so far ("hitting-set", the default, which
+matches the minimal-leader counting).
 
 A run that ends controllable reports status "found"; exhausting the
 pipeline without controllability is the normal negative outcome
@@ -50,7 +50,7 @@ class CsaStep:
 
     step: int
     origin: str  # detector name, "hitting-set", "fallback", or "fallback-prune"
-    subject: tuple[int, ...]  # the critical set, the fallback vertex, or the pruned ones
+    subject: tuple[int, ...]  # the critical set, the fallback vertices, or the pruned ones
     chosen: tuple[int, ...]  # leaders selected at this entry
 
 
@@ -70,30 +70,18 @@ class LeaderReport:
 
 
 def step6_fallback_vertices(profile: AttachmentProfile) -> list[int]:
-    """Spine vertices with no attachments directly after a loaded vertex.
+    """Unloaded spine vertices with a loaded spine neighbour, in spine order.
 
-    Both spine orientations are scanned; the union is returned in ascending
-    spine position.
+    Each one directly follows a loaded vertex in one of the two spine
+    orientations.  When no spine vertex is loaded the lobster is a bare
+    path, and its first end alone is returned: one end leader controls a
+    path.
     """
     spine = profile.spine
-    length = len(spine)
-    loads = [profile.load(i) for i in range(length)]
-    picks = set()
-    for i in range(1, length):
-        if loads[i - 1] > 0 and loads[i] == 0:
-            picks.add(i)
-    for i in range(length - 1):
-        if loads[i + 1] > 0 and loads[i] == 0:
-            picks.add(i)
-    return [spine[i] for i in sorted(picks)]
-
-
-def _first_true(pred, hi: int) -> int:
-    """Smallest k in 1..hi with pred(k), by bisection, or hi + 1 if there is none.
-
-    pred must be monotone (false, then true).
-    """
-    return bisect.bisect_left(range(1, hi + 1), True, key=pred) + 1
+    loaded = [profile.load(i) > 0 for i in range(len(spine))]
+    if not any(loaded):
+        return [spine[0]]
+    return [v for i, v in enumerate(spine) if not loaded[i] and any(loaded[max(i - 1, 0) : i + 2])]
 
 
 def run_csa(
@@ -110,14 +98,12 @@ def run_csa(
     re-covers everything found so far with a minimum hitting set before each
     controllability check.
 
-    Step 6 adds fallback vertices in spine order up to the first prefix that
-    makes the set controllable (one "fallback" entry per addition), then
-    drops again, latest first, every walk vertex the set stays controllable
-    without, and logs the dropped ones in one "fallback-prune" entry.  The
-    last addition and the leaders chosen before step 6 are always kept, so
-    the step-6 additions that remain are inclusion-minimal.  strict_step6
-    adds all fallback vertices at once and checks a single time, without
-    pruning.
+    Step 6 adds every fallback vertex in one "fallback" entry and checks the
+    set once.  If it is controllable, the fallback vertices are dropped
+    again, latest first, wherever the set stays controllable without them,
+    and the dropped ones are logged in one "fallback-prune" entry.  Leaders
+    chosen before step 6 are always kept, so the step-6 additions that
+    remain are inclusion-minimal.  strict_step6 skips the prune.
     """
     if mode not in ("per-set", "hitting-set"):
         raise GraphError(f"unknown mode {mode!r}")
@@ -171,41 +157,34 @@ def run_csa(
         cover(5)
         found = controllable(leaders)
     fallback = step6_fallback_vertices(profile) if enable_step6 and not found else []
-    dropped: list[int] = []
-    if fallback and strict_step6:
+    if fallback:
+        base = frozenset(leaders)
         leaders.update(fallback)
         steps.append(CsaStep(6, "fallback", tuple(fallback), tuple(fallback)))
         found = controllable(leaders)
-    elif fallback:
-        base = frozenset(leaders)
-        # The walk logs the same additions as a check after every addition.
-        k = _first_true(lambda j: controllable(base.union(fallback[:j])), len(fallback))
-        found = k <= len(fallback)
-        for v in fallback[:k]:
-            leaders.add(v)
-            steps.append(CsaStep(6, "fallback", (v,), (v,)))
-        if found:
-            # Drop walk vertices, latest first, whenever the set stays
-            # controllable without them.  The last addition is always kept
-            # (prefix k-1 is uncontrollable), and so are leaders chosen before
-            # step 6.  By monotonicity that greedy pass drops the longest run
-            # of candidates whose joint removal keeps control, then keeps the
-            # next one, so each kept vertex costs one bisection.
-            candidates = [v for v in reversed(fallback[: k - 1]) if v not in base]
-            while candidates:
-                stop = _first_true(
-                    lambda j: not controllable(leaders.difference(candidates[:j])),
-                    len(candidates),
-                )
-                dropped.extend(candidates[: stop - 1])
-                leaders.difference_update(candidates[: stop - 1])
-                candidates = candidates[stop:]
-            steps.append(CsaStep(6, "fallback-prune", tuple(sorted(dropped)), ()))
+    unpruned = len(leaders)
+    if found and fallback and not strict_step6:
+        # Drop fallback vertices, latest first, whenever the set stays
+        # controllable without them; leaders chosen before step 6 are kept.
+        # By monotonicity that greedy pass drops the longest run of
+        # candidates whose joint removal keeps control, found by bisection,
+        # then keeps the next one, so each kept vertex costs one bisection.
+        candidates = [v for v in reversed(fallback) if v not in base]
+        while candidates:
+            drop = bisect.bisect_left(
+                range(len(candidates)),
+                True,
+                key=lambda j: not controllable(leaders.difference(candidates[: j + 1])),
+            )
+            leaders.difference_update(candidates[:drop])
+            candidates = candidates[drop + 1 :]  # candidates[drop] stays
+        dropped = base.union(fallback).difference(leaders)
+        steps.append(CsaStep(6, "fallback-prune", tuple(sorted(dropped)), ()))
 
     verdict_exact = None
     # The cap is judged on the set before pruning, so the prune never
-    # withdraws an exact certificate the walk's set would have received.
-    if found and g.n - len(leaders) - len(dropped) <= EXACT_CERTIFY_FOLLOWER_CAP:
+    # withdraws an exact certificate the unpruned set would have received.
+    if found and g.n - unpruned <= EXACT_CERTIFY_FOLLOWER_CAP:
         verdict_exact = kalman_controllable_exact(g, leaders).controllable
         if verdict_exact != found:
             raise RuntimeError(

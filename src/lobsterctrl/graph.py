@@ -332,7 +332,7 @@ def attachment_profile(g: Graph, spine: list[int]) -> AttachmentProfile:
 # Serialization
 # ---------------------------------------------------------------------------
 
-_DOT_EDGE = re.compile(r"(\d+)\s*--\s*(\d+)")
+_DOT_STATEMENT = re.compile(r"\s*(?:(\d+)\s*--\s*(\d+))?\s*")  # one edge, or blank
 
 
 def _json_int(value) -> int:
@@ -344,7 +344,7 @@ def _json_int(value) -> int:
 
 def parse_graph(text: str) -> Graph:
     """Parse a graph from JSON ({"n":..., "edges":[[i,j],...]}) or a DOT
-    subset (``graph { i -- j; ... }``)."""
+    subset (``graph { i -- j; ... }``, one edge per statement)."""
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
@@ -365,8 +365,12 @@ def parse_graph(text: str) -> Graph:
         start, stop = stripped.find("{"), stripped.rfind("}")
         if not 0 <= start < stop:
             raise GraphError("DOT graph needs a { ... } body")
-        body = stripped[start + 1 : stop]
-        edges = [(int(a), int(b)) for a, b in _DOT_EDGE.findall(body)]
+        statements = re.split(r"[;\n]", stripped[start + 1 : stop])
+        matches = [_DOT_STATEMENT.fullmatch(s) for s in statements]
+        if None in matches:
+            bad = statements[matches.index(None)].strip()
+            raise GraphError(f"DOT statement {bad!r} is not an edge 'i -- j'")
+        edges = [(int(m[1]), int(m[2])) for m in matches if m[1]]
         if not edges:
             raise GraphError("DOT graph contains no edges")
         n = max(max(e) for e in edges)

@@ -83,6 +83,9 @@ class TestAnalyze:
             "graph 1 -- 2",
             '{"n": 3, "edges": [[true, 2], [2, 3]]}',
             '{"n": true, "edges": []}',
+            "graph { 1 -- 2 -- 3 }",
+            "graph { 1.5 -- 2; 2 -- 3 }",
+            "graph { 1 -- 2; 3; }",
         ],
     )
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text):
@@ -161,7 +164,8 @@ class TestCsa:
         assert report["status"] == "found" and len(report["leaders"]) == 3
 
     def test_bare_path_negative_exit(self, p10_file, capsys):
-        code = main(["csa", p10_file])
+        # only the fallback step finds a leader for a bare path
+        code = main(["csa", p10_file, "--no-step6"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1 and report["status"] == "cant_find"
 
@@ -243,6 +247,25 @@ class TestExperiment:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["experiment", "--sweep", "success", "--config", str(path), "-o", "x.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_values": [10.9]},
+            {"n_values": [6, True]},
+            {"trials": 2.7},
+            {"base_seed": True},
+            {"max_load": 2.5},
+            {"audit_fraction": "0.5"},
+            {"audit_fraction": False},
+        ],
+    )
+    def test_bad_config_numbers_are_usage_errors(self, tmp_path, capsys, overrides):
+        cfg = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--sweep", "success", "--config", cfg, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "short.json"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -6,9 +7,14 @@ import pytest
 
 import lobsterctrl.control
 import lobsterctrl.csa
-from lobsterctrl.control import kalman_controllable_exact, min_leader_bruteforce
+from lobsterctrl.control import (
+    controllable_certified,
+    kalman_controllable_exact,
+    min_leader_bruteforce,
+)
 from lobsterctrl.csa import report_to_json, run_csa, step6_fallback_vertices
 from lobsterctrl.graph import (
+    BASE_CONFIGS,
     Graph,
     GraphError,
     LobsterSpec,
@@ -42,16 +48,15 @@ class TestRunCsaBenchmark:
 
 
 class TestRunCsaPaths:
-    def test_bare_path_cant_find(self):
-        # no detector fires and no fallback exists on a bare path, so the
-        # pipeline reports the documented negative outcome even though a
-        # single end leader would control it
+    def test_bare_path_found_by_one_end(self):
+        # no detector fires on a bare path, so step 6 falls back to one end,
+        # which alone controls a path
         p10 = path_graph(10)
         report = run_csa(p10)
-        assert report.status == "cant_find"
-        assert report.leaders == frozenset()
-        assert not report.verdict_float and report.verdict_exact is None
-        assert kalman_controllable_exact(p10, {1}).controllable
+        assert report.status == "found"
+        assert report.leaders == frozenset({1})
+        assert report.verdict_float and report.verdict_exact is True
+        assert len(report.leaders) == min_leader_bruteforce(p10, 1).k_min
 
     def test_p5_found_via_quad(self, p5):
         report = run_csa(p5)
@@ -86,8 +91,8 @@ class TestStepSix:
         spine = find_spine(g)
         assert step6_fallback_vertices(attachment_profile(g, spine)) == [spine[0], spine[-1]]
 
-    def test_bare_path_has_none(self, p5):
-        assert step6_fallback_vertices(attachment_profile(p5, [1, 2, 3, 4, 5])) == []
+    def test_bare_path_falls_back_to_first_end(self, p5):
+        assert step6_fallback_vertices(attachment_profile(p5, [1, 2, 3, 4, 5])) == [1]
 
     def test_ablation_only_weakens(self):
         rng = random.Random(5)
@@ -101,19 +106,21 @@ class TestStepSix:
         # this lobster reaches step 6 with several fallback vertices
         g = build_lobster(random_lobster(20, seed=1))
         strict = run_csa(g, strict_step6=True)
-        lazy = run_csa(g)
+        pruned = run_csa(g)
         strict_six = [s for s in strict.steps if s.step == 6]
-        lazy_walk = [s for s in lazy.steps if s.origin == "fallback"]
-        assert len(strict_six) == 1
-        assert len(strict_six[0].chosen) > len(lazy_walk) >= 1
-        assert strict.status == lazy.status == "found"
-        assert len(lazy.leaders) <= len(strict.leaders)
+        added = [s for s in pruned.steps if s.origin == "fallback"]
+        assert len(strict_six) == 1 and len(strict_six[0].chosen) > 1
+        assert [(s.subject, s.chosen) for s in added] == [
+            (strict_six[0].subject, strict_six[0].chosen)
+        ]
+        assert strict.status == pruned.status == "found"
+        assert pruned.leaders < strict.leaders
 
 
 class TestFallbackPrune:
     @staticmethod
-    def _walk(report):
-        """Leaders before step 6, walk additions, and pruned vertices, read off the log."""
+    def _step6(report):
+        """Leaders before step 6, fallback additions, and pruned vertices, read off the log."""
         before: set[int] = set()
         added: set[int] = set()
         pruned: set[int] = set()
@@ -134,7 +141,7 @@ class TestFallbackPrune:
             report = run_csa(g)
             if report.status != "found" or not any(s.step == 6 for s in report.steps):
                 continue
-            before, added, pruned = self._walk(report)
+            before, added, pruned = self._step6(report)
             assert report.leaders == frozenset((before | added) - pruned)
             assert not pruned & before
             for v in (added - before) & report.leaders:
@@ -156,6 +163,60 @@ class TestFallbackPrune:
                 continue
             assert len(report.leaders) == min_leader_bruteforce(g, len(report.leaders)).k_min
             checked += 1
+
+
+class TestOnePassMatchesWalk:
+    """Step 6 in one pass leaves the leaders of the earlier two-stage step 6:
+    a walk to the first controllable prefix of the fallback list, then the
+    latest-first prune of the walk's vertices."""
+
+    @staticmethod
+    def walk(g, mode, strict):
+        def ok(vertices):
+            return bool(vertices) and controllable_certified(g, vertices).controllable
+
+        before = set(run_csa(g, mode=mode, enable_step6=False).leaders)
+        if ok(before):
+            return "found", before, before
+        fallback = step6_fallback_vertices(attachment_profile(g, find_spine(g)))
+        if strict:
+            leaders = before.union(fallback)
+            return ("found" if ok(leaders) else "cant_find"), leaders, before
+        k = next((k for k in range(1, len(fallback) + 1) if ok(before.union(fallback[:k]))), None)
+        if k is None:
+            return "cant_find", before.union(fallback), before
+        leaders = before.union(fallback[:k])
+        for v in reversed(fallback[: k - 1]):
+            if v not in before and ok(leaders - {v}):
+                leaders.discard(v)
+        return "found", leaders, before
+
+    @staticmethod
+    def lobsters():
+        configs = [c for c in BASE_CONFIGS if sum(c) <= 2]
+        patterns = list(itertools.product(configs, repeat=4))[::8]
+        for pattern in patterns:
+            yield build_lobster(LobsterSpec.make(6, [()] + list(pattern) + [()]))
+        rng = random.Random(26)
+        for i in range(30):
+            spec = random_lobster(rng.randint(6, 40), rng.randrange(10**6), max_load=2 + 2 * (i % 2))
+            yield build_lobster(spec)
+
+    def test_same_leaders_and_status(self):
+        step6_runs = 0
+        for g in self.lobsters():
+            for mode, strict in itertools.product(("hitting-set", "per-set"), (False, True)):
+                report = run_csa(g, mode=mode, strict_step6=strict)
+                status, leaders, before = self.walk(g, mode, strict)
+                assert (report.status, report.leaders) == (status, leaders), (mode, strict, g)
+                added = [s for s in report.steps if s.origin == "fallback"]
+                if not added:
+                    continue
+                step6_runs += 1
+                pruned = [s.subject for s in report.steps if s.origin == "fallback-prune"]
+                assert len(added) == 1 and len(pruned) == (0 if strict else report.status == "found")
+                assert report.leaders == before.union(added[0].chosen).difference(*pruned)
+        assert step6_runs >= 40
 
 
 class TestChecksAskedOnce:

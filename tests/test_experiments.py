@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pathlib
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import lobsterctrl.csa
+import lobsterctrl.experiments
 import lobsterctrl.spectral
 from lobsterctrl.control import kalman_controllable_exact
 from lobsterctrl.csa import run_csa
@@ -94,8 +96,12 @@ class TestSweepBasics:
         assert all(r.step6_off_rate is None for r in plain.rows)
         assert all(r.step6_off_rate is not None for r in ablated.rows)
 
-    def test_zero_success_rows_flagged_and_off_fit(self):
-        # bare paths always end cant_find, so every n lands in the flag list
+    def test_zero_success_rows_flagged_and_off_fit(self, monkeypatch):
+        # without step 6 bare paths always end cant_find, so every n lands
+        # in the flag list
+        monkeypatch.setattr(
+            lobsterctrl.experiments, "run_csa", functools.partial(run_csa, enable_step6=False)
+        )
         res = run_sweep(tiny_cfg(force_config=()))
         assert res.flagged_ns == (6, 8)
         assert math.isnan(res.fit_slope)

@@ -26,7 +26,7 @@ from lobsterctrl.mpcs import catalog_to_json, detect_quads, detect_spine_pattern
 GOLDEN_COUNT = 60
 GOLDEN_SPINES = (6, 140)
 GOLDEN_SEED_BASE = 0x60D
-GOLDEN_DIGEST = "e358a6b9bfecc567b8978660f984cd736dc843fbb6a00856959e89d6f0f8afa7"
+GOLDEN_DIGEST = "b72ef2958ed32908515f70e35fc197c6f25ac20a93d7c447e0509a43bf8b62a9"
 
 # (config overrides, ablate) per sweep: both modes, bare paths, a forced
 # attachment, audit fractions from 0.2 to 1.0, and ablation on and off.
@@ -40,7 +40,7 @@ SWEEP_CASES = (
     (dict(force_config=()), False),
     (dict(force_config=(2,), n_values=(6, 9, 12)), True),
 )
-SWEEP_DIGEST = "ae230af0eabbfcf0c58c60c17678cb03e3a32c53afadc7552451c996d5f9a4d5"
+SWEEP_DIGEST = "31749e4cde5e94d6f09ef8cdc1bdff8f01810a609a0385439ad89ad52db0f45d"
 
 
 def _canonical(obj):

@@ -231,6 +231,13 @@ class TestSerialization:
         g = parse_graph("graph { 1 -- 2; 2 -- 3; }")
         assert g.n == 3 and g.sorted_edges() == [(1, 2), (2, 3)]
 
+    @pytest.mark.parametrize(
+        "text", ["graph { 1 -- 2 -- 3 }", "graph { 1.5 -- 2; 2 -- 3 }", "graph { 1 -- 2; 3; }"]
+    )
+    def test_dot_rejects_statements_other_than_one_edge(self, text):
+        with pytest.raises(GraphError, match="DOT statement"):
+            parse_graph(text)
+
     def test_unrecognized_format(self):
         with pytest.raises(GraphError, match="unrecognized"):
             parse_graph("digraph { 1 -> 2; }")
