@@ -104,7 +104,8 @@ def cmd_analyze(args) -> int:
     }
     if verdict.witness is not None:
         out["witness_eigenvalue"] = verdict.witness.value
-        out["witness_vector"] = [round(float(x), 12) for x in verdict.witness.vector]
+        # round() takes a tiny negative entry to -0.0; adding 0.0 prints 0.0
+        out["witness_vector"] = [round(float(x), 12) + 0.0 for x in verdict.witness.vector]
     if args.exact:
         exact = kalman_controllable_exact(g, leaders)
         if exact.controllable != verdict.controllable:

@@ -52,6 +52,8 @@ class SweepConfig:
             raise GraphError("trials must be >= 1")
         if not self.n_values:
             raise GraphError("n_values must be nonempty")
+        if not 0 <= self.audit_fraction <= 1:  # NaN fails too
+            raise GraphError(f"audit_fraction must be in [0, 1], got {self.audit_fraction}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,12 +123,10 @@ class Graph:
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected
 
-    def bfs_distances(self, sources) -> dict[int, int]:
-        """BFS layering from a vertex or a set of vertices."""
-        if isinstance(sources, int):
-            sources = (sources,)
-        dist = {s: 0 for s in sources}
-        queue = deque(sources)
+    def bfs_distances(self, source: int) -> dict[int, int]:
+        """BFS distances from one vertex."""
+        dist = {source: 0}
+        queue = deque([source])
         while queue:
             u = queue.popleft()
             for w in self.adjacency[u]:
@@ -288,43 +286,26 @@ def find_spine(g: Graph) -> list[int]:
 def attachment_profile(g: Graph, spine: list[int]) -> AttachmentProfile:
     """Compute p1/p2/S1/S2 per spine vertex for a tree with the given spine.
 
-    Rejects trees with any vertex farther than 2 from the spine (not a
-    lobster).
+    Level 1 of a spine vertex is its off-spine neighbours, level 2 their
+    other neighbours.  A vertex in no level is farther than 2 from the spine,
+    and the tree is rejected as not a lobster.
     """
     if not g.is_tree():
         raise GraphError("attachment_profile requires a tree")
     spine_set = set(spine)
-    dist = g.bfs_distances(tuple(spine))
-    too_far = [v for v, d in dist.items() if d > 2]
-    if too_far or len(dist) < g.n:
+    level1 = [tuple(w for w in g.adjacency[sv] if w not in spine_set) for sv in spine]
+    level2 = [
+        tuple(sorted(x for u in l1 for x in g.adjacency[u] if x != sv))
+        for sv, l1 in zip(spine, level1)
+    ]
+    if len(spine_set.union(*level1, *level2)) < g.n:
         raise GraphError("not a lobster: vertex farther than 2 from the spine")
-
-    anchor: dict[int, int] = {}  # off-spine vertex -> its spine vertex
-    for v, d in dist.items():
-        if d == 1:
-            nbr = [w for w in g.adjacency[v] if w in spine_set]
-            anchor[v] = nbr[0]
-    for v, d in dist.items():
-        if d == 2:
-            parent = [w for w in g.adjacency[v] if dist[w] == 1][0]
-            anchor[v] = anchor[parent]
-
-    levels: dict[int, tuple[list[int], list[int]]] = {sv: ([], []) for sv in spine}
-    for v in sorted(anchor):  # each spine vertex's layers come out sorted
-        levels[anchor[v]][dist[v] - 1].append(v)
-    p1, p2, s1, s2 = [], [], [], []
-    for sv in spine:
-        level1, level2 = levels[sv]
-        p1.append(len(level1))
-        p2.append(len(level2))
-        s1.append(tuple(v for v in level1 if g.degree(v) == 1))
-        s2.append(tuple(level2))
     return AttachmentProfile(
         spine=tuple(spine),
-        p1=tuple(p1),
-        p2=tuple(p2),
-        s1=tuple(s1),
-        s2=tuple(s2),
+        p1=tuple(map(len, level1)),
+        p2=tuple(map(len, level2)),
+        s1=tuple(tuple(v for v in l1 if g.degree(v) == 1) for l1 in level1),
+        s2=tuple(level2),
     )
 
 
@@ -332,6 +313,7 @@ def attachment_profile(g: Graph, spine: list[int]) -> AttachmentProfile:
 # Serialization
 # ---------------------------------------------------------------------------
 
+_DOT_GRAPH = re.compile(r"graph(?:\s+(?:[A-Za-z_]\w*|\d+))?\s*\{(.*)\}", re.S)  # graph [ID] {...}
 _DOT_STATEMENT = re.compile(r"\s*(?:(\d+)\s*--\s*(\d+))?\s*")  # one edge, or blank
 
 
@@ -362,10 +344,10 @@ def parse_graph(text: str) -> Graph:
             ) from exc
         return Graph.from_edges(n, edges)
     if stripped.startswith("graph"):
-        start, stop = stripped.find("{"), stripped.rfind("}")
-        if not 0 <= start < stop:
-            raise GraphError("DOT graph needs a { ... } body")
-        statements = re.split(r"[;\n]", stripped[start + 1 : stop])
+        body = _DOT_GRAPH.fullmatch(stripped)
+        if body is None:
+            raise GraphError("DOT statement outside 'graph [ID] { ... }'")
+        statements = re.split(r"[;\n]", body[1])
         matches = [_DOT_STATEMENT.fullmatch(s) for s in statements]
         if None in matches:
             bad = statements[matches.index(None)].strip()

@@ -31,7 +31,6 @@ import numpy as np
 
 from .graph import AttachmentProfile, Graph, GraphError, laplacian
 from .spectral import (
-    RANK_TOL,
     ZERO_TOL,
     Eigenspace,
     SpectralDecomposition,
@@ -39,6 +38,7 @@ from .spectral import (
     eigen_decompose,
     exists_support_exactly,
     spans_inside,
+    vanishing_subspace,
     vanishing_witness,
     _generic_witness,
 )
@@ -132,20 +132,11 @@ def _achievable_supports(space: Eigenspace) -> dict[frozenset[int], Witness]:
     rows, so enumerating row subsets of size < k covers every achievable
     support.
     """
-    basis = space.basis
-    n, k = basis.shape
+    n, k = space.basis.shape
     out: dict[frozenset[int], Witness] = {}
-    for size in range(0, k):
-        for combo in itertools.combinations(range(n), size):
-            if size == 0:
-                null = np.eye(k)
-            else:
-                _, sv, vt = np.linalg.svd(basis[list(combo), :], full_matrices=True)
-                rank = int(np.sum(sv > RANK_TOL))
-                if rank == k:
-                    continue
-                null = vt[rank:].T
-            span = basis @ null
+    for size in range(k):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            span = space.basis @ vanishing_subspace(space, combo)[0]
             scale = np.max(np.abs(span))
             if scale == 0:
                 continue
@@ -154,9 +145,7 @@ def _achievable_supports(space: Eigenspace) -> dict[frozenset[int], Witness]:
             if not support or support in out:
                 continue
             rows = [v - 1 for v in sorted(support)]
-            out[support] = Witness.scaled(
-                space.value, _generic_witness(span, rows), positive_at=rows[0]
-            )
+            out[support] = Witness.scaled(space.value, _generic_witness(span, rows))
     return out
 
 
@@ -325,12 +314,11 @@ def verify_mpcs(
     tests, is never consulted.
     """
     s = g.vertex_set(vertices)
-    first = min(s) - 1
     witnesses: list[Witness] = []
     for sp, span, full in spans_inside(graph_decomposition(g), s):
         if span.shape[1] > 1 or not full:
             return False, None
-        witnesses.append(Witness.scaled(sp.value, span[:, 0], positive_at=first))
+        witnesses.append(Witness.scaled(sp.value, span[:, 0]))
     if not witnesses:
         return False, None
     if expected_values is not None:

@@ -2,16 +2,18 @@
 
 Eigenvalues of an integer Laplacian are either exactly equal or well
 separated, so near-equal values (within a relative grouping tolerance) are
-merged into one eigenspace whose basis is re-orthonormalized.  On top of the
+merged into one eigenspace.  Its basis is the slice of the orthonormal
+eigenvectors that `eigh` returned for those values.  On top of the
 decomposition sits one query, `vanishing_spaces`: which eigenvectors vanish
 on a given vertex set.  The controllability test (none vanishes on the
 leaders) and the critical-set predicates (some vanishes off the set) both
 read it.  `vanishing_witness` returns its first answer in value order as a
-unit max-norm `Witness`; both the controllability test and
-`mpcs.is_critical` report that one.  `spans_inside` holds the one support
-rule: per eigenspace, the span of the eigenvectors supported inside a set
-and whether any vertex of the set is zero across it.  The exact-support
-witness search and `mpcs.verify_mpcs` both decide by it.
+`Witness`; both the controllability test and `mpcs.is_critical` report that
+one.  `spans_inside` holds the one support rule: per eigenspace, the span of
+the eigenvectors supported inside a set and whether any vertex of the set is
+zero across it.  The exact-support witness search and `mpcs.verify_mpcs`
+both decide by it.  `Witness.scaled` alone fixes every witness's scale and
+sign.
 
 Zero / nonzero decisions on eigenvector entries are tolerance-based; exact
 claims are re-checked elsewhere by the rational controllability oracle.
@@ -111,12 +113,13 @@ class Witness:
     vector: np.ndarray
 
     @classmethod
-    def scaled(cls, value: float, vector: np.ndarray, positive_at: int | None = None) -> "Witness":
-        """Witness scaled to unit max-norm, and positive at row positive_at if given."""
+    def scaled(cls, value: float, vector: np.ndarray) -> "Witness":
+        """Witness scaled to unit max-norm, its first entry above ZERO_TOL
+        positive and no entry -0.0, whatever sign the eigensolver chose."""
         vector = vector / np.max(np.abs(vector))
-        if positive_at is not None and vector[positive_at] < 0:
+        if vector[np.argmax(np.abs(vector) > ZERO_TOL)] < 0:
             vector = -vector
-        return cls(value=value, vector=vector)
+        return cls(value=value, vector=vector + 0.0)
 
 
 def _fingerprint(mat: np.ndarray) -> str:
@@ -148,15 +151,7 @@ def eigen_decompose(lap: np.ndarray) -> SpectralDecomposition:
     edges = [0, *(np.flatnonzero(splits) + 1).tolist(), len(vals)]
     bounds = list(zip(edges, edges[1:]))
 
-    # Re-orthonormalize each group in place, so every basis is a view of
-    # vecs; the one-column groups go through one stacked QR call.
-    simple = [start for start, stop in bounds if stop - start == 1]
-    if simple:
-        q, _ = np.linalg.qr(vecs[:, simple].T[:, :, None])
-        vecs[:, simple] = q[:, :, 0].T
-    for start, stop in bounds:
-        if stop - start > 1:
-            vecs[:, start:stop], _ = np.linalg.qr(vecs[:, start:stop])
+    # eigh's columns are orthonormal, so every basis is a slice of vecs.
     spaces = tuple(
         Eigenspace(
             value=float(vals[start] if stop - start == 1 else np.mean(vals[start:stop])),
@@ -292,8 +287,8 @@ def exists_support_exactly(decomp: SpectralDecomposition, support) -> Witness | 
 
     Takes the first `full` entry of `spans_inside`, in value order: a generic
     combination of its span is nonzero everywhere on the support and is
-    returned, normalized to unit max-norm with the first support entry
-    positive.  `mpcs.is_perfect_critical` passes the set through
+    returned in the `Witness.scaled` form, which makes its first support
+    entry positive.  `mpcs.is_perfect_critical` passes the set through
     `Graph.vertex_set` first; here an empty set is refused.
     """
     support = sorted(set(support))
@@ -302,5 +297,5 @@ def exists_support_exactly(decomp: SpectralDecomposition, support) -> Witness | 
     rows = [v - 1 for v in support]
     for sp, span, full in spans_inside(decomp, support):
         if full:
-            return Witness.scaled(sp.value, _generic_witness(span, rows), positive_at=rows[0])
+            return Witness.scaled(sp.value, _generic_witness(span, rows))
     return None

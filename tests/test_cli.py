@@ -258,6 +258,9 @@ class TestExperiment:
             {"max_load": 2.5},
             {"audit_fraction": "0.5"},
             {"audit_fraction": False},
+            {"audit_fraction": -1},
+            {"audit_fraction": float("nan")},
+            {"audit_fraction": 7},
         ],
     )
     def test_bad_config_numbers_are_usage_errors(self, tmp_path, capsys, overrides):

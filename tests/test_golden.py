@@ -9,10 +9,11 @@ of the same code; this digest pins the outputs of the code as it was when
 the digest was taken.  A second digest does the same for sweep output: the
 CSV bytes and the fit and audit figures of a few fixed-seed sweeps.
 
-Floats are rounded to 12 decimals and witness signs fixed (first nonzero
-entry positive) before hashing: the BLAS thread count moves eigenvalues in
-their last bits and may flip the sign of an eigenvector, and neither is a
-change of the program.
+Floats are rounded to 12 decimals before hashing: the BLAS thread count
+moves eigenvalues in their last bits, which is not a change of the program.
+Witness signs are hashed as the program prints them.  The eigensolver may
+return an eigenvector with either sign, and `Witness.scaled` makes the first
+entry above ZERO_TOL positive, so the digest checks that rule too.
 """
 import hashlib
 import json
@@ -78,11 +79,8 @@ def golden_outputs(spine_len: int, seed: int) -> list[str]:
         verdict = pbh_controllable(g, short)
         check = {"controllable": verdict.controllable, "method": verdict.method}
         if verdict.witness is not None:
-            vec = _canonical([float(x) for x in verdict.witness.vector])
-            if next(x for x in vec if x != 0) < 0:
-                vec = [-x + 0.0 for x in vec]
             check["witness_eigenvalue"] = _canonical(verdict.witness.value)
-            check["witness_vector"] = vec
+            check["witness_vector"] = _canonical([float(x) for x in verdict.witness.vector])
         out.append(json.dumps(check))
     return out
 

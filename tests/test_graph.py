@@ -232,7 +232,14 @@ class TestSerialization:
         assert g.n == 3 and g.sorted_edges() == [(1, 2), (2, 3)]
 
     @pytest.mark.parametrize(
-        "text", ["graph { 1 -- 2 -- 3 }", "graph { 1.5 -- 2; 2 -- 3 }", "graph { 1 -- 2; 3; }"]
+        "text",
+        [
+            "graph { 1 -- 2 -- 3 }",
+            "graph { 1.5 -- 2; 2 -- 3 }",
+            "graph { 1 -- 2; 3; }",
+            "graphite G { 1 -- 2; 2 -- 3 }",
+            "graph { 1 -- 2; 2 -- 3 } trailing junk",
+        ],
     )
     def test_dot_rejects_statements_other_than_one_edge(self, text):
         with pytest.raises(GraphError, match="DOT statement"):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 import sympy
 
+from lobsterctrl.control import pbh_controllable
+from lobsterctrl.csa import run_csa
 from lobsterctrl.graph import build_lobster, laplacian, random_lobster
 from lobsterctrl.spectral import (
     GROUP_TOL,
+    ZERO_TOL,
     Witness,
     eigen_decompose,
     exists_support_exactly,
@@ -154,3 +157,25 @@ class TestExistsSupportExactly:
     def test_rejects_empty_support(self, fig_graph):
         with pytest.raises(ValueError):
             exists_support_exactly(decompose(fig_graph), set())
+
+
+def test_lobster_bases_orthonormal_and_witness_signs_fixed():
+    """Bases are eigh's own orthonormal columns, and every PBH witness is
+    positive at its first entry above ZERO_TOL and holds no -0.0."""
+    rng = random.Random(0x5161)
+    witnesses = 0
+    for i in range(16):
+        spine_len = 6 + (160 - 6) * i // 15
+        g = build_lobster(random_lobster(spine_len, rng.getrandbits(32), 2 + 2 * (i % 2)))
+        vectors = decompose(g).vectors
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(g.n))) <= 1e-12
+        leaders = run_csa(g).sorted_leaders()
+        for subset in (leaders[1:], leaders[:1], [g.n], rng.sample(range(1, g.n + 1), 3)):
+            witness = pbh_controllable(g, subset).witness if subset else None
+            if witness is None:
+                continue
+            witnesses += 1
+            vec = witness.vector
+            assert vec[np.flatnonzero(np.abs(vec) > ZERO_TOL)[0]] > 0
+            assert not np.any(np.signbit(vec) & (vec == 0))
+    assert witnesses > 40
